@@ -271,3 +271,31 @@ def test_env_thread_override(tmp_path, monkeypatch):
     monkeypatch.setenv("DEPGOF_THREADS", "x")
     with pytest.raises(ConfigError):
         run_pipeline(config)
+
+
+def _dir_bytes(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+@pytest.mark.parametrize("model", ["iid", "ar1", "fgn", "empirical"])
+def test_pipeline_equals_verb_chain(tmp_path, model):
+    text = "n=300\nreplications=4\ngrid_m=15\nn_trials=2000\nseed=5\nt_max=4\n"
+    if model == "empirical":
+        rng = np.random.default_rng(17)
+        rows = ["x,y,z"] + [",".join(f"{v:.10g}" for v in rng.standard_normal(3))
+                            for _ in range(300)]
+        data = _write(tmp_path, "panel_in.csv", "\n".join(rows) + "\n")
+        text += f"model=empirical\ninput={data}\n"
+        first = ["estimate"]
+    else:
+        text += f"model={model}\n"
+        first = ["generate", "--seed", "5"]
+    cfg = _write(tmp_path, "eq.cfg", text)
+    piped, chained = tmp_path / "pipeline", tmp_path / "chain"
+    assert main(["pipeline", "-c", cfg, "--outdir", str(piped)]) == 0
+    for verb in (first, ["kernel"], ["law", "--seed", "5"], ["test"]):
+        assert main([verb[0], "-c", cfg, "--outdir", str(chained)] + verb[1:]) == 0
+    expected = _dir_bytes(piped)
+    assert "results.jsonl" in expected
+    assert _dir_bytes(chained) == expected
