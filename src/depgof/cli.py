@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Verbs map onto pipeline stages so each can be rerun independently from
-the artifacts of the previous one:
+Each verb reads one ``runner`` stage's inputs back from the output
+directory, runs that stage (which writes its artifacts) and prints a
+line; ``pipeline`` chains the stages in memory and writes the same files:
 
     depgof generate  -c cfg --seed S      synthesize a panel CSV
     depgof estimate  -c cfg               self-copulas and Psi from a panel
     depgof kernel    -c cfg               covariance kernel (Psi-based or analytic)
-    depgof law       -c cfg --seed S      Monte-Carlo statistic distributions
+    depgof law       -c cfg --seed S      spectrum and Monte-Carlo statistic laws
     depgof test      -c cfg               per-series GoF results (JSONL)
     depgof pipeline  -c cfg               all stages in one run
     depgof reproduce fig2|fig3 -c cfg     the synthetic benchmark experiments
@@ -19,7 +20,8 @@ import os
 import sys
 from dataclasses import replace
 
-from . import kernels, limit_law, runner
+from . import kernels, runner
+from .copulas import PsiSurface
 from .errors import ConfigError, DataError, NumericalError, ParameterError
 from .grid import QuantileGrid
 
@@ -41,28 +43,23 @@ def _load(args):
     return config
 
 
-def _panel(config):
-    if config.model == "empirical":
-        if not config.input:
-            raise ConfigError("empirical model requires input=<panel.csv>")
-        return runner.standardize(runner.ingest_csv(config.input))
-    path = os.path.join(config.outdir, "panel.csv")
+def _artifact(config, name, what, verb):
+    """Path of an earlier stage's artifact, which must exist."""
+    path = os.path.join(config.outdir, name)
     if not os.path.exists(path):
-        raise DataError(f"no generated panel at {path}; run `depgof generate` first")
-    return runner.ingest_csv(path)
+        raise DataError(f"no {what} at {path}; run `depgof {verb}` first")
+    return path
 
 
 def cmd_generate(args):
     config = _load(args)
-    panel = runner.generate_panel(config)
-    runner._write_panel(os.path.join(config.outdir, "panel.csv"), panel)
+    panel = runner.generate_panel(config, outdir=config.outdir)
     print(f"wrote {config.outdir}/panel.csv ({panel.values.shape[0]}x{len(panel.names)})")
 
 
 def cmd_estimate(args):
     config = _load(args)
-    panel = _panel(config)
-    psi = runner.estimate_psi(panel, config, outdir=config.outdir)
+    psi = runner.estimate_psi(runner.load_panel(config), config, outdir=config.outdir)
     print(f"wrote {config.outdir}/psi.csv (t_max={psi.t_max})")
 
 
@@ -70,46 +67,28 @@ def cmd_kernel(args):
     config = _load(args)
     psi = None
     if config.model == "empirical":
-        from .copulas import PsiSurface
-
-        path = os.path.join(config.outdir, "psi.csv")
-        if not os.path.exists(path):
-            raise DataError(f"no Psi surface at {path}; run `depgof estimate` first")
-        _, m, lag, values = runner.read_matrix(path)
+        _, m, lag, values = runner.read_matrix(
+            _artifact(config, "psi.csv", "Psi surface", "estimate"))
         # n is not consumed by the Psi-based kernel; lag+1 satisfies the type
         psi = PsiSurface(grid=QuantileGrid(m), values=values, n=lag + 1, t_max=lag)
-    kernel = runner.build_kernel(config, config.n, psi=psi)
-    runner.write_matrix(os.path.join(config.outdir, "kernel.csv"), "kernel",
-                        kernel.values, config.grid_m)
+    runner.build_kernel(config, config.n, psi=psi, outdir=config.outdir)
     print(f"wrote {config.outdir}/kernel.csv")
 
 
 def cmd_law(args):
     config = _load(args)
-    path = os.path.join(config.outdir, "kernel.csv")
-    if not os.path.exists(path):
-        raise DataError(f"no kernel at {path}; run `depgof kernel` first")
-    _, m, _, values = runner.read_matrix(path)
+    _, m, _, values = runner.read_matrix(_artifact(config, "kernel.csv", "kernel", "kernel"))
     kernel = kernels.KernelMatrix(grid=QuantileGrid(m), values=values)
-    spectrum = kernels.eigendecompose(kernel)
-    runner.write_matrix(os.path.join(config.outdir, "spectrum_eigvals.csv"),
-                        "eigenvalues", spectrum.eigenvalues[None, :], m)
-    runner.write_matrix(os.path.join(config.outdir, "spectrum_eigvecs.csv"),
-                        "eigenvectors", spectrum.eigenvectors, m)
-    dist_ks, dist_cm = limit_law.simulate_statistic_distribution(
-        spectrum, config.n_trials, config.seed, n_threads=runner._n_threads(config))
-    runner.write_distribution(os.path.join(config.outdir, "law_ks.csv"), dist_ks)
-    runner.write_distribution(os.path.join(config.outdir, "law_cm.csv"), dist_cm)
+    spectrum = runner.diagonalize(kernel, outdir=config.outdir)
+    runner.simulate_laws(spectrum, config, config.seed, outdir=config.outdir)
     print(f"wrote {config.outdir}/law_ks.csv and law_cm.csv ({config.n_trials} trials)")
 
 
 def cmd_test(args):
     config = _load(args)
-    panel = _panel(config)
-    paths = [os.path.join(config.outdir, f"law_{k}.csv") for k in ("ks", "cm")]
-    if not all(os.path.exists(p) for p in paths):
-        raise DataError(f"missing laws in {config.outdir}; run `depgof law` first")
-    dist_ks, dist_cm = (runner.read_distribution(p) for p in paths)
+    panel = runner.load_panel(config)
+    dist_ks, dist_cm = (runner.read_distribution(_artifact(config, f"law_{k}.csv", "law", "law"))
+                        for k in ("ks", "cm"))
     results = runner.test_panel(panel, config, dist_ks, dist_cm, outdir=config.outdir)
     rejected = sum(1 for r in results if r.cm_p < 0.05)
     print(f"wrote {config.outdir}/results.jsonl "

@@ -76,18 +76,28 @@ class Spectrum:
         return self.eigenvalues.size
 
 
+def _bridge(grid):
+    """I(u_i, u_j) = min(u_i, u_j) - u_i u_j on the grid."""
+    u = grid.points
+    return np.minimum.outer(u, u) - np.outer(u, u)
+
+
 def brownian_bridge_kernel(grid):
     """Independence kernel I(u,v) = min(u,v) - uv."""
-    u = grid.points
-    return KernelMatrix(grid=grid, values=np.minimum.outer(u, u) - np.outer(u, u))
+    return KernelMatrix(grid=grid, values=_bridge(grid))
 
 
 def build_kernel_from_psi(psi):
     """H = I * (1 + Psi) from an accumulated correction surface."""
-    u = psi.grid.points
-    i_vals = np.minimum.outer(u, u) - np.outer(u, u)
     sym_psi = 0.5 * (psi.values + psi.values.T)   # symmetric up to rounding
-    return KernelMatrix(grid=psi.grid, values=i_vals * (1.0 + sym_psi))
+    return KernelMatrix(grid=psi.grid, values=_bridge(psi.grid) * (1.0 + sym_psi))
+
+
+def _rank_one_kernel(params, grid, coefficient, vol_scale):
+    """I + coefficient * A A^T, with A at scale s = vol_scale or sqrt(V[omega])."""
+    s = math.sqrt(params.stationary_var) if vol_scale is None else float(vol_scale)
+    a, _ = get_basis(s).tables(grid)
+    return KernelMatrix(grid=grid, values=_bridge(grid) + coefficient * np.outer(a, a))
 
 
 def ar1_psi_coefficient(params):
@@ -113,11 +123,7 @@ def build_kernel_ar1(params, grid, vol_scale=None):
         kernel the actual first-order covariance of the generated series.
         Pass 1.0 to evaluate A at the reference normalization instead.
     """
-    s = math.sqrt(params.stationary_var) if vol_scale is None else float(vol_scale)
-    a, _ = get_basis(s).tables(grid)
-    u = grid.points
-    i_vals = np.minimum.outer(u, u) - np.outer(u, u)
-    return KernelMatrix(grid=grid, values=i_vals + ar1_psi_coefficient(params) * np.outer(a, a))
+    return _rank_one_kernel(params, grid, ar1_psi_coefficient(params), vol_scale)
 
 
 def fgn_psi_coefficient(params, n):
@@ -134,11 +140,7 @@ def fgn_psi_coefficient(params, n):
 
 def build_kernel_fgn(params, n, grid, vol_scale=None):
     """Long-memory kernel H = I + [2 sum_t (1-t/N) alpha_t] A at sample size N."""
-    s = math.sqrt(params.stationary_var) if vol_scale is None else float(vol_scale)
-    a, _ = get_basis(s).tables(grid)
-    u = grid.points
-    i_vals = np.minimum.outer(u, u) - np.outer(u, u)
-    return KernelMatrix(grid=grid, values=i_vals + fgn_psi_coefficient(params, n) * np.outer(a, a))
+    return _rank_one_kernel(params, grid, fgn_psi_coefficient(params, n), vol_scale)
 
 
 def eigendecompose(kernel):
@@ -233,9 +235,7 @@ def build_kernel_pseudo_elliptical(inputs, grid, basis=None):
     """
     basis = basis or get_basis()
     ua, ur = _unit_modes(grid, basis)
-    u = grid.points
-    h = np.minimum.outer(u, u) - np.outer(u, u)
-    h = h + inputs.alpha_bar * np.outer(ua, ua) + inputs.rho_bar * np.outer(ur, ur)
+    h = _bridge(grid) + inputs.alpha_bar * np.outer(ua, ua) + inputs.rho_bar * np.outer(ur, ur)
     cross = np.outer(ur, ua)
     h = h - 0.5 * inputs.beta_bar * (cross + cross.T)
     return KernelMatrix(grid=grid, values=h)

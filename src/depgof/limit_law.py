@@ -64,15 +64,20 @@ def kolmogorov_cdf(k):
     return out if out.ndim else float(out)
 
 
-def uniformity_pvalue(pvals):
-    """Asymptotic KS test of a p-value sample against the uniform law."""
+def sup_distance(pvals):
+    """KS distance sup_u |F_n(u) - u| between a p-value sample and the uniform law."""
     p = np.sort(np.asarray(pvals, dtype=float))
     n = p.size
     if n == 0:
         raise DataError("empty p-value sample")
     grid = np.arange(1, n + 1) / n
-    d = max(np.abs(grid - p).max(), np.abs(grid - 1.0 / n - p).max())
-    return float(1.0 - kolmogorov_cdf(math.sqrt(n) * d))
+    return float(max(np.abs(grid - p).max(), np.abs(grid - 1.0 / n - p).max()))
+
+
+def uniformity_pvalue(pvals):
+    """Asymptotic KS test of a p-value sample against the uniform law."""
+    n = np.size(pvals)
+    return float(1.0 - kolmogorov_cdf(math.sqrt(n) * sup_distance(pvals)))
 
 
 def _chunk_rng(seed, index):

@@ -40,6 +40,10 @@ def _phi(z):
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
+def _dphi(z):
+    return -z * _phi(z)
+
+
 class LogNormalVolBasis:
     """Marginal CDF, quantile and expansion basis at one vol-of-vol scale."""
 
@@ -53,11 +57,13 @@ class LogNormalVolBasis:
         self._weights = w / math.sqrt(math.pi)
         self._grid_tables = {}
 
+    def _expect(self, f, x):
+        """E_w[f(x e^{-s w})] for each x, by Gauss-Hermite quadrature."""
+        return f(x[..., None] * np.exp(-self.s * self._omega)) @ self._weights
+
     def cdf(self, x):
         """Marginal CDF F(x) = E[Phi(x e^{-s w})]; F(-x) = 1 - F(x)."""
-        x = np.asarray(x, dtype=float)
-        scale = np.exp(-self.s * self._omega)
-        return ndtr(x[..., None] * scale) @ self._weights
+        return self._expect(ndtr, np.asarray(x, dtype=float))
 
     def quantile(self, u):
         """Inverse marginal CDF by bracketed root finding (|residual| < 1e-10)."""
@@ -76,28 +82,24 @@ class LogNormalVolBasis:
                             xtol=1e-13, rtol=8.9e-16)
         return out if np.ndim(u) else float(out[0])
 
+    def _at_quantile(self, f, u):
+        vals = self._expect(f, np.atleast_1d(self.quantile(u)))
+        return vals if np.ndim(u) else float(vals[0])
+
     def a_tilde(self, u):
         """Odd basis function A(u) = E[phi'(F^{-1}(u) e^{-s w})]."""
-        q = np.atleast_1d(self.quantile(u))
-        z = q[..., None] * np.exp(-self.s * self._omega)
-        vals = (-z * _phi(z)) @ self._weights
-        return vals if np.ndim(u) else float(vals[0])
+        return self._at_quantile(_dphi, u)
 
     def r_tilde(self, u):
         """Even basis function R(u) = E[phi(F^{-1}(u) e^{-s w})]; R(1/2) = (2 pi)^{-1/2}."""
-        q = np.atleast_1d(self.quantile(u))
-        z = q[..., None] * np.exp(-self.s * self._omega)
-        vals = _phi(z) @ self._weights
-        return vals if np.ndim(u) else float(vals[0])
+        return self._at_quantile(_phi, u)
 
     def tables(self, grid):
         """(A, R) tabulated on the grid; computed once per grid and cached."""
         key = grid.m
         if key not in self._grid_tables:
             q = self.quantile(grid.points)
-            z = q[:, None] * np.exp(-self.s * self._omega)
-            a = (-z * _phi(z)) @ self._weights
-            r = _phi(z) @ self._weights
+            a, r = self._expect(_dphi, q), self._expect(_phi, q)
             a.flags.writeable = False
             r.flags.writeable = False
             self._grid_tables[key] = (a, r)

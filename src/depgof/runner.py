@@ -1,18 +1,22 @@
-"""Pipeline orchestration: ingestion, wiring, artifacts, experiments.
+"""Pipeline stages, their artifacts, and the chains that run them.
 
 Configuration is a flat ``key=value`` text file (one pair per line, ``#``
-comments).  Every stage reads and writes plain-text artifacts so stages
-can be rerun independently:
+comments).  Each stage takes its inputs as objects and, given an
+``outdir``, writes its artifacts; no other code writes them:
 
-* matrices (copulas, Psi, kernel, eigenvectors): CSV rows with a one-line
-  header ``# depgof <kind> m=<M> lag=<t>``,
-* statistic distributions: single-column CSV of sorted samples,
-* per-series test results: one JSON object per line
-  (name, ks, cm, p_ks, p_cm).
+    generate_panel  panel.csv       estimate_psi   copula_t*.csv, psi.csv
+    build_kernel    kernel.csv      diagonalize    spectrum_eig{vals,vecs}.csv
+    simulate_laws   law_{ks,cm}<suffix>.csv        test_panel     results.jsonl
+
+``run_pipeline`` and ``reproduce`` chain the stages in memory; each CLI
+verb reads one stage's inputs back from the outdir, so ``pipeline`` and
+the verb chain write the same bytes.  Matrices are CSV rows under a
+one-line header ``# depgof <kind> m=<M> lag=<t>``, laws single-column
+sorted samples, results one JSON object per line (name, ks, cm, p_ks, p_cm).
 
 The environment variable DEPGOF_THREADS overrides the configured worker
 count for Monte-Carlo law simulation.  All stages are deterministic given
-the config and seed; file writes are single-owner.
+the config and seed.
 """
 
 import json
@@ -48,7 +52,6 @@ class PipelineConfig:
     s: float = 0.5
     target: str = "volmodel"
     target_s2: float = -1.0   # <0 = auto (model value, or leave-one-out calibration)
-    estimate: bool = False    # also estimate self-copulas for synthetic models
     threads: int = 1
     input: str = ""
     outdir: str = "depgof-out"
@@ -92,8 +95,6 @@ def parse_config_text(text):
                 values[key] = int(val)
             elif kind is float:
                 values[key] = float(val)
-            elif kind is bool:
-                values[key] = val.lower() in ("1", "true", "yes", "on")
             else:
                 values[key] = val
         except ValueError:
@@ -134,9 +135,9 @@ class PanelData:
 def ingest_csv(path, delimiter=","):
     """Read a UTF-8 delimited panel: header row of names, numeric rows.
 
-    Any unparsable cell fails the whole ingest with the offending row
-    number and column name; silent row dropping would bias every
-    estimator downstream.
+    Any unparsable or non-finite cell fails the whole ingest with the
+    offending row number and column name; silent row dropping would bias
+    every estimator downstream.
     """
     if not os.path.exists(path):
         raise DataError(f"input file not found: {path}")
@@ -161,7 +162,13 @@ def ingest_csv(path, delimiter=","):
         rows.append(parsed)
     if len(rows) < 2:
         raise DataError(f"{path}: fewer than 2 data rows")
-    return PanelData(names=names, values=np.array(rows, dtype=float))
+    values = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"{path}: row {i + 2}, column {names[j]!r}: "
+                        f"non-finite value {values[i, j]}")
+    return PanelData(names=names, values=values)
 
 
 def standardize(panel):
@@ -234,35 +241,44 @@ def _n_threads(config):
     return max(1, config.threads)
 
 
-def _model_vol_scale(config):
+def _model(config):
+    """(params, generator) of the synthetic model named by the config."""
     if config.model == "ar1":
-        return math.sqrt(sampling.Ar1LogVolParams(config.g, config.sigma2).stationary_var)
+        return sampling.Ar1LogVolParams(config.g, config.sigma2), sampling.gen_ar1_logvol
     if config.model == "fgn":
-        return math.sqrt(config.sigma2)
+        return sampling.FgnLogVolParams(config.nu, config.sigma2), sampling.gen_fgn_logvol
     if config.model == "iid":
-        return config.s
-    raise ConfigError("empirical model has no analytic volatility scale")
+        return sampling.StochasticVolParams(config.s), sampling.gen_iid_lognormal_vol
+    raise ConfigError("the empirical model has no generator; use ar1, fgn or iid")
 
 
-def generate_panel(config):
-    """Synthesize a panel of `replications` independent series of length n."""
+def load_panel(config):
+    """The panel to estimate from and test: the standardized ``input`` for the
+    empirical model, else the panel.csv that generate_panel wrote to outdir."""
     if config.model == "empirical":
-        raise ConfigError("generate needs a synthetic model (ar1, fgn or iid)")
+        if not config.input:
+            raise ConfigError("empirical model requires input=<panel.csv>")
+        return standardize(ingest_csv(config.input))
+    path = os.path.join(config.outdir, "panel.csv")
+    if not os.path.exists(path):
+        raise DataError(f"no generated panel at {path}; run `depgof generate` first")
+    return ingest_csv(path)
+
+
+def generate_panel(config, outdir=None):
+    """Synthesize `replications` independent series of length n; writes panel.csv."""
+    params, generate = _model(config)
     reps, n = config.replications, config.n
     values = np.empty((n, reps))
     for j in range(reps):
         seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(j,))
-        if config.model == "ar1":
-            params = sampling.Ar1LogVolParams(config.g, config.sigma2)
-            values[:, j] = sampling.gen_ar1_logvol(params, n, seed)
-        elif config.model == "fgn":
-            params = sampling.FgnLogVolParams(config.nu, config.sigma2)
-            values[:, j] = sampling.gen_fgn_logvol(params, n, seed)
-        else:
-            params = sampling.StochasticVolParams(config.s)
-            values[:, j] = sampling.gen_iid_lognormal_vol(params, n, seed)
-    names = [f"s{j:04d}" for j in range(reps)]
-    return PanelData(names=names, values=values)
+        values[:, j] = generate(params, n, seed)
+    panel = PanelData(names=[f"s{j:04d}" for j in range(reps)], values=values)
+    if outdir:
+        with open(os.path.join(outdir, "panel.csv"), "w", encoding="utf-8") as fh:
+            fh.write(",".join(panel.names) + "\n")
+            np.savetxt(fh, panel.values, fmt="%.17g", delimiter=",")
+    return panel
 
 
 def estimate_psi(panel, config, outdir=None):
@@ -289,44 +305,64 @@ def estimate_psi(panel, config, outdir=None):
     return psi
 
 
-def build_kernel(config, n, psi=None):
-    """Analytic kernel for synthetic models, Psi-based kernel otherwise."""
+def build_kernel(config, n, psi=None, outdir=None):
+    """Psi-based kernel for the empirical model, analytic otherwise; writes kernel.csv."""
     grid = QuantileGrid(config.grid_m)
-    if config.model == "ar1":
-        return kernels.build_kernel_ar1(
-            sampling.Ar1LogVolParams(config.g, config.sigma2), grid)
-    if config.model == "fgn":
-        return kernels.build_kernel_fgn(
-            sampling.FgnLogVolParams(config.nu, config.sigma2), n, grid)
-    if config.model == "iid":
-        return kernels.brownian_bridge_kernel(grid)
-    if psi is None:
-        raise ConfigError("empirical kernel requires an estimated Psi surface")
-    return kernels.build_kernel_from_psi(psi)
+    if config.model == "empirical":
+        if psi is None:
+            raise ConfigError("empirical kernel requires an estimated Psi surface")
+        kernel = kernels.build_kernel_from_psi(psi)
+    elif config.model == "iid":
+        kernel = kernels.brownian_bridge_kernel(grid)
+    elif config.model == "ar1":
+        kernel = kernels.build_kernel_ar1(_model(config)[0], grid)
+    else:
+        kernel = kernels.build_kernel_fgn(_model(config)[0], n, grid)
+    if outdir:
+        write_matrix(os.path.join(outdir, "kernel.csv"), "kernel", kernel.values, grid.m)
+    return kernel
+
+
+def diagonalize(kernel, outdir=None):
+    """Spectrum of the kernel; writes spectrum_eigvals.csv and spectrum_eigvecs.csv."""
+    spectrum = kernels.eigendecompose(kernel)
+    if outdir:
+        m = spectrum.grid.m
+        write_matrix(os.path.join(outdir, "spectrum_eigvals.csv"), "eigenvalues",
+                     spectrum.eigenvalues[None, :], m)
+        write_matrix(os.path.join(outdir, "spectrum_eigvecs.csv"), "eigenvectors",
+                     spectrum.eigenvectors, m)
+    return spectrum
+
+
+def simulate_laws(spectrum, config, seed, outdir=None, suffix=""):
+    """Monte-Carlo KS and CM laws of the spectrum; writes law_{ks,cm}<suffix>.csv."""
+    laws = limit_law.simulate_statistic_distribution(
+        spectrum, config.n_trials, seed, n_threads=_n_threads(config))
+    if outdir:
+        for dist in laws:
+            write_distribution(os.path.join(outdir, f"law_{dist.kind}{suffix}.csv"), dist)
+    return laws
 
 
 def _target_cdf(config, panel):
     """Null-marginal CDF per column: list of callables aligned with columns."""
+    k = len(panel.names)
     if config.target == "gaussian":
-        return [norm.cdf] * len(panel.names)
+        return [norm.cdf] * k
     if config.model != "empirical":
-        s = _model_vol_scale(config)
-        return [lambda x, s=s: lognormal.vol_model_cdf(x, s)] * len(panel.names)
-    if config.target_s2 >= 0.0:
-        s = math.sqrt(config.target_s2)
-        return [lambda x, s=s: lognormal.vol_model_cdf(x, s)] * len(panel.names)
-    # leave-one-out calibration: each column gets the average s^2 of the others
-    s2 = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
-    total = s2.sum()
-    cdfs = []
-    for j in range(s2.size):
-        loo = (total - s2[j]) / max(1, s2.size - 1)
-        s = math.sqrt(max(loo, 0.0))
-        cdfs.append(lambda x, s=s: lognormal.vol_model_cdf(x, s))
-    return cdfs
+        s2 = [_model(config)[0].stationary_var] * k
+    elif config.target_s2 >= 0.0:
+        s2 = [config.target_s2] * k
+    else:
+        # leave-one-out calibration: each column gets the average s^2 of the others
+        own = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
+        s2 = [max((own.sum() - v) / max(1, k - 1), 0.0) for v in own]
+    return [lambda x, s=math.sqrt(v): lognormal.vol_model_cdf(x, s) for v in s2]
 
 
 def test_panel(panel, config, dist_ks, dist_cm, outdir=None, filename="results.jsonl"):
+    """Test every column against its target CDF; writes results.jsonl (or `filename`)."""
     cdfs = _target_cdf(config, panel)
     rows = []
     results = []
@@ -341,42 +377,26 @@ def test_panel(panel, config, dist_ks, dist_cm, outdir=None, filename="results.j
 
 
 def run_pipeline(config):
-    """Full chain: data -> (Psi ->) kernel -> spectrum -> laws -> per-series tests.
+    """Full chain: panel (-> Psi) -> kernel -> spectrum -> laws -> per-series tests.
 
     Synthetic models generate their panel and use the analytic kernel
-    (set ``estimate=true`` to also estimate and store self-copulas);
-    the empirical model ingests ``input`` and estimates everything.
-    Returns the written GofResults.  Idempotent for a fixed config.
+    (``depgof estimate`` adds self-copulas and Psi of a generated panel);
+    the empirical model ingests ``input`` and estimates Psi.  Writes the
+    same files as the CLI verb chain and returns the GofResults.
+    Idempotent for a fixed config.
     """
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
+    psi = None
     if config.model == "empirical":
-        if not config.input:
-            raise ConfigError("empirical model requires input=<panel.csv>")
-        panel = standardize(ingest_csv(config.input))
+        panel = load_panel(config)
         psi = estimate_psi(panel, config, outdir=outdir)
     else:
-        panel = generate_panel(config)
-        _write_panel(os.path.join(outdir, "panel.csv"), panel)
-        psi = estimate_psi(panel, config, outdir=outdir) if config.estimate else None
-    kernel = build_kernel(config, panel.n, psi=psi)
-    write_matrix(os.path.join(outdir, "kernel.csv"), "kernel", kernel.values, config.grid_m)
-    spectrum = kernels.eigendecompose(kernel)
-    write_matrix(os.path.join(outdir, "spectrum_eigvals.csv"), "eigenvalues",
-                 spectrum.eigenvalues[None, :], config.grid_m)
-    write_matrix(os.path.join(outdir, "spectrum_eigvecs.csv"), "eigenvectors",
-                 spectrum.eigenvectors, config.grid_m)
-    dist_ks, dist_cm = limit_law.simulate_statistic_distribution(
-        spectrum, config.n_trials, config.seed, n_threads=_n_threads(config))
-    write_distribution(os.path.join(outdir, "law_ks.csv"), dist_ks)
-    write_distribution(os.path.join(outdir, "law_cm.csv"), dist_cm)
+        panel = generate_panel(config, outdir=outdir)
+    kernel = build_kernel(config, panel.n, psi=psi, outdir=outdir)
+    dist_ks, dist_cm = simulate_laws(diagonalize(kernel, outdir=outdir), config,
+                                     config.seed, outdir=outdir)
     return test_panel(panel, config, dist_ks, dist_cm, outdir=outdir)
-
-
-def _write_panel(path, panel):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(panel.names) + "\n")
-        np.savetxt(fh, panel.values, fmt="%.17g", delimiter=",")
 
 
 def reproduce(which, config):
@@ -405,21 +425,12 @@ def reproduce(which, config):
         raise ConfigError(f"unknown experiment {which!r} (use fig2 or fig3)")
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
-    grid = QuantileGrid(config.grid_m)
-    panel = generate_panel(config)
-    _write_panel(os.path.join(outdir, "panel.csv"), panel)
-    kernel = build_kernel(config, config.n)
-    write_matrix(os.path.join(outdir, "kernel.csv"), "kernel", kernel.values, grid.m)
-    spectrum = kernels.eigendecompose(kernel)
-    iid_spectrum = kernels.eigendecompose(kernels.brownian_bridge_kernel(grid))
-    nthr = _n_threads(config)
-    corr_ks, corr_cm = limit_law.simulate_statistic_distribution(
-        spectrum, config.n_trials, config.seed, n_threads=nthr)
-    iid_ks, iid_cm = limit_law.simulate_statistic_distribution(
-        iid_spectrum, config.n_trials, config.seed + 1, n_threads=nthr)
-    for name, dist in (("law_ks_corrected", corr_ks), ("law_cm_corrected", corr_cm),
-                       ("law_ks_iid", iid_ks), ("law_cm_iid", iid_cm)):
-        write_distribution(os.path.join(outdir, f"{name}.csv"), dist)
+    panel = generate_panel(config, outdir=outdir)
+    spectrum = kernels.eigendecompose(build_kernel(config, config.n, outdir=outdir))
+    iid_spectrum = kernels.eigendecompose(
+        kernels.brownian_bridge_kernel(QuantileGrid(config.grid_m)))
+    corr_ks, corr_cm = simulate_laws(spectrum, config, config.seed, outdir, "_corrected")
+    iid_ks, iid_cm = simulate_laws(iid_spectrum, config, config.seed + 1, outdir, "_iid")
 
     res_iid = test_panel(panel, config, iid_ks, iid_cm, outdir=outdir,
                          filename="results_iid.jsonl")
@@ -436,18 +447,13 @@ def reproduce(which, config):
         fh.write("level,ratio_ks,ratio_cm\n")
         np.savetxt(fh, ratios, fmt="%.17g", delimiter=",")
 
-    def ecdf_sup_distance(pvals):
-        p = np.sort(np.asarray(pvals))
-        steps = np.arange(1, p.size + 1) / p.size
-        return float(max(np.abs(steps - p).max(), np.abs(steps - 1.0 / p.size - p).max()))
-
     summary = {"experiment": which, "model": config.model,
                "replications": config.replications, "n": config.n}
     for label, results in (("iid", res_iid), ("corrected", res_corr)):
         for stat in ("ks", "cm"):
             pv = [getattr(r, f"{stat}_p") for r in results]
             summary[f"uniformity_p_{stat}_{label}"] = limit_law.uniformity_pvalue(pv)
-            summary[f"sup_distance_{stat}_{label}"] = ecdf_sup_distance(pv)
+            summary[f"sup_distance_{stat}_{label}"] = limit_law.sup_distance(pv)
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -86,6 +86,11 @@ class StochasticVolParams:
         if self.s < 0.0:
             raise ParameterError(f"volatility-of-volatility must be >= 0, got s={self.s}")
 
+    @property
+    def stationary_var(self):
+        """V[s w] = s^2; its square root is s exactly."""
+        return self.s ** 2
+
 
 def as_series(values, min_len=2):
     """Validate and return a 1-D float array of observations."""

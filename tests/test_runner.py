@@ -109,6 +109,9 @@ def test_config_parsing_and_validation():
         parse_config_text("model ar1\n")
     with pytest.raises(ConfigError):
         parse_config_text("model=garch\n")
+    for value in ("true", "ture", "0"):   # the removed estimate switch is not read as false
+        with pytest.raises(ConfigError, match="unknown key 'estimate'"):
+            parse_config_text(f"model=ar1\nestimate = {value}\n")
 
 
 def test_matrix_artifact_roundtrip(tmp_path):
@@ -215,6 +218,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
     assert main(["pipeline", "-c", str(tmp_path / "void.cfg")]) == 2
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_cli_rejects_non_finite_cells(tmp_path, capsys, cell):
+    rng = np.random.default_rng(19)
+    rows = ["x,y"] + [f"{a:.10g},{b:.10g}" for a, b in rng.standard_normal((60, 2))]
+    rows[7] = rows[7].split(",")[0] + "," + cell   # file row 8
+    data = _write(tmp_path, "cells.csv", "\n".join(rows) + "\n")
+    cfg = _write(tmp_path, "cells.cfg", f"model=empirical\ninput={data}\nt_max=2\n"
+                 f"grid_m=10\nn_trials=1000\noutdir={tmp_path}/o\n")
+    assert main(["estimate", "-c", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "row 8, column 'y'" in err
 
 
 def test_cli_seed_required_for_generate_and_law(tmp_path):
