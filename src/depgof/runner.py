@@ -33,6 +33,7 @@ from .grid import QuantileGrid
 
 _MODELS = ("empirical", "ar1", "fgn", "iid")
 _TARGETS = ("volmodel", "gaussian")
+_PANEL_STREAM = 1   # spawn-key prefix of panel columns; law chunk j uses the key (j,)
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,7 @@ def generate_panel(config, outdir=None):
     reps, n = config.replications, config.n
     values = np.empty((n, reps))
     for j in range(reps):
-        seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(j,))
+        seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(_PANEL_STREAM, j))
         values[:, j] = generate(params, n, seed)
     panel = PanelData(names=[f"s{j:04d}" for j in range(reps)], values=values)
     if outdir:

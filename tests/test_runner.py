@@ -19,8 +19,10 @@ from depgof import (
     standardize,
 )
 from depgof.cli import main
+from depgof.limit_law import _chunk_rng
 from depgof.runner import (
     estimate_psi,
+    generate_panel,
     read_distribution,
     read_matrix,
     write_distribution,
@@ -195,6 +197,15 @@ def test_run_pipeline_empirical_path(tmp_path):
     kind, m, lag, psi = read_matrix(os.path.join(config.outdir, "psi.csv"))
     assert kind == "psi" and m == 20 and lag == 6
     assert np.array_equal(psi, psi.T)
+
+
+def test_panel_columns_do_not_share_law_streams(tmp_path):
+    config = _tiny_config(tmp_path, s=0.0, n=50, replications=3)
+    panel = generate_panel(config)
+    for j, (_, col) in enumerate(panel.columns()):
+        # at s = 0 a column is the generator's second block of n normals
+        law_normals = _chunk_rng(config.seed, j).standard_normal(2 * config.n)
+        assert np.intersect1d(col, law_normals).size == 0
 
 
 def test_estimate_psi_uses_all_columns(tmp_path):
