@@ -43,11 +43,11 @@ def _load(args):
     return config
 
 
-def _artifact(config, name, what, verb):
-    """Path of an earlier stage's artifact, which must exist."""
+def _artifact(config, name, verb):
+    """Path of an artifact that an earlier verb must have written."""
     path = os.path.join(config.outdir, name)
     if not os.path.exists(path):
-        raise DataError(f"no {what} at {path}; run `depgof {verb}` first")
+        raise DataError(f"no {path}; run `depgof {verb}` first")
     return path
 
 
@@ -67,8 +67,7 @@ def cmd_kernel(args):
     config = _load(args)
     psi = None
     if config.model == "empirical":
-        _, m, lag, values = runner.read_matrix(
-            _artifact(config, "psi.csv", "Psi surface", "estimate"))
+        _, m, lag, values = runner.read_matrix(_artifact(config, "psi.csv", "estimate"))
         # n is not consumed by the Psi-based kernel; lag+1 satisfies the type
         psi = PsiSurface(grid=QuantileGrid(m), values=values, n=lag + 1, t_max=lag)
     runner.build_kernel(config, config.n, psi=psi, outdir=config.outdir)
@@ -77,7 +76,7 @@ def cmd_kernel(args):
 
 def cmd_law(args):
     config = _load(args)
-    _, m, _, values = runner.read_matrix(_artifact(config, "kernel.csv", "kernel", "kernel"))
+    _, m, _, values = runner.read_matrix(_artifact(config, "kernel.csv", "kernel"))
     kernel = kernels.KernelMatrix(grid=QuantileGrid(m), values=values)
     spectrum = runner.diagonalize(kernel, outdir=config.outdir)
     runner.simulate_laws(spectrum, config, config.seed, outdir=config.outdir)
@@ -87,7 +86,7 @@ def cmd_law(args):
 def cmd_test(args):
     config = _load(args)
     panel = runner.load_panel(config)
-    dist_ks, dist_cm = (runner.read_distribution(_artifact(config, f"law_{k}.csv", "law", "law"))
+    dist_ks, dist_cm = (runner.read_distribution(_artifact(config, f"law_{k}.csv", "law"))
                         for k in ("ks", "cm"))
     results = runner.test_panel(panel, config, dist_ks, dist_cm, outdir=config.outdir)
     rejected = sum(1 for r in results if r.cm_p < 0.05)

@@ -358,7 +358,8 @@ def _target_cdf(config, panel):
     else:
         # leave-one-out calibration: each column gets the average s^2 of the others
         own = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
-        s2 = [max((own.sum() - v) / max(1, k - 1), 0.0) for v in own]
+        total = own.sum()
+        s2 = [max((total - v) / max(1, k - 1), 0.0) for v in own]
     return [lambda x, s=math.sqrt(v): lognormal.vol_model_cdf(x, s) for v in s2]
 
 

@@ -88,8 +88,8 @@ class StochasticVolParams:
 
     @property
     def stationary_var(self):
-        """V[s w] = s^2; its square root is s exactly."""
-        return self.s ** 2
+        """V[s w] = s^2, rounded once so that its square root is s exactly."""
+        return self.s * self.s
 
 
 def as_series(values, min_len=2):
