@@ -33,8 +33,8 @@ def _add_common(sub, seed_required=False):
                      help="master seed" + (" (required)" if seed_required else ""))
 
 
-def _load(args):
-    config = runner.load_config(args.config)
+def _load(args, preset=None):
+    config = runner.load_config(args.config, preset)
     if args.outdir:
         config = replace(config, outdir=args.outdir)
     if args.seed is not None:
@@ -68,8 +68,7 @@ def cmd_kernel(args):
     psi = None
     if config.model == "empirical":
         _, m, lag, values = runner.read_matrix(_artifact(config, "psi.csv", "estimate"))
-        # n is not consumed by the Psi-based kernel; lag+1 satisfies the type
-        psi = PsiSurface(grid=QuantileGrid(m), values=values, n=lag + 1, t_max=lag)
+        psi = PsiSurface(grid=QuantileGrid(m), values=values, t_max=lag)
     runner.build_kernel(config, config.n, psi=psi, outdir=config.outdir)
     print(f"wrote {config.outdir}/kernel.csv")
 
@@ -101,7 +100,7 @@ def cmd_pipeline(args):
 
 
 def cmd_reproduce(args):
-    config = _load(args)
+    config = _load(args, runner.PRESETS[args.experiment])
     summary = runner.reproduce(args.experiment, config)
     for key in sorted(summary):
         print(f"{key}: {summary[key]}")

@@ -48,7 +48,6 @@ class PsiSurface:
 
     grid: QuantileGrid
     values: np.ndarray
-    n: int
     t_max: int
 
 
@@ -181,7 +180,7 @@ def psi_accumulate(surfaces, n):
     for surf in surfaces:
         delta = (surf.values - uv) / denom
         psi += (1.0 - surf.lag / n) * (delta + delta.T)
-    return PsiSurface(grid=grid, values=psi, n=n, t_max=t_max)
+    return PsiSurface(grid=grid, values=psi, t_max=t_max)
 
 
 def _value_at_half(surface):

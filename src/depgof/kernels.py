@@ -337,47 +337,34 @@ def perturbative_spectrum(inputs, grid=None, basis=None, n_modes=20, j_sum=40):
 
 _CM_GRID_STEP = 1e-3
 _CM_GRID_MAX = 5.0
-_CM_BASELINE_SEED = 20260313
-_CM_BASELINE_CACHE = {}
+_CM_FFT_SIZE = 2 ** 14   # aliasing period _CM_FFT_SIZE * _CM_GRID_STEP ~ 16.4
 
 
-def _iid_cm_density(m, n_trials, bandwidth=0.005):
-    """Baseline CM density of the independence spectrum, by Monte Carlo.
+def _cm_density(lam):
+    """Exact density of CM = sum_j lam_j z_j^2 on the grid kg.
 
-    Simulates sum_j lambda_j z_j^2 on the m-point bridge spectrum, bins at
-    the density grid step and smooths with a Gaussian kernel.  Cached per
-    (m, n_trials); the seed is fixed so the baseline is a reproducible
-    published table rather than a per-call sample.
+    phi(t) = prod_j (1 - 2 i lam_j t)^{-1/2} and f(k) = (1/pi) Re int_0^inf
+    phi(t) e^{-itk} dt.  The trapezoid rule at step h = 2 pi / (N dk) is one
+    FFT whose bins land on kg; clipping removes the -1e-15 rounding left
+    near k = 0.
     """
-    key = (m, n_trials, bandwidth)
-    if key in _CM_BASELINE_CACHE:
-        return _CM_BASELINE_CACHE[key]
-    grid = QuantileGrid(m)
-    lam = eigendecompose(brownian_bridge_kernel(grid)).eigenvalues
     kg = np.arange(0.0, _CM_GRID_MAX + _CM_GRID_STEP / 2, _CM_GRID_STEP)
-    edges = np.concatenate([kg - _CM_GRID_STEP / 2, [kg[-1] + _CM_GRID_STEP / 2]])
-    hist = np.zeros(kg.size)
-    rng = np.random.default_rng(_CM_BASELINE_SEED)
-    done = 0
-    while done < n_trials:
-        b = min(200_000, n_trials - done)
-        z = rng.standard_normal((b, m))
-        hist += np.histogram((z * z) @ lam, bins=edges)[0]
-        done += b
-    dens = hist / n_trials / _CM_GRID_STEP
-    half = int(round(5 * bandwidth / _CM_GRID_STEP))
-    xk = np.arange(-half, half + 1) * _CM_GRID_STEP
-    kern = np.exp(-0.5 * (xk / bandwidth) ** 2)
-    kern /= kern.sum()
-    dens = np.convolve(dens, kern, mode="same")
-    out = (kg, dens, lam)
-    _CM_BASELINE_CACHE[key] = out
-    return out
+    h = 2.0 * np.pi / (_CM_FFT_SIZE * _CM_GRID_STEP)
+    t = h * np.arange(_CM_FFT_SIZE)
+    phi = np.exp(-0.5 * np.log1p(-2j * np.outer(t, lam)).sum(axis=1))
+    phi[0] *= 0.5   # trapezoid end weight at t = 0
+    return kg, np.clip(h / np.pi * np.fft.fft(phi).real[:kg.size], 0.0, None)
 
 
-def _cm_corrected_density_grid(alpha_bar, m=None, n_trials=10_000_000, basis=None):
+def _iid_cm_density(m):
+    """Baseline (kg, density, lambda) of the m-point independence spectrum."""
+    lam = eigendecompose(brownian_bridge_kernel(QuantileGrid(m))).eigenvalues
+    return (*_cm_density(lam), lam)
+
+
+def _cm_corrected_density_grid(alpha_bar, m=None, basis=None):
     grid = QuantileGrid(m or QuantileGrid().m)
-    kg, p_i, lam = _iid_cm_density(grid.m, n_trials)
+    kg, p_i, lam = _iid_cm_density(grid.m)
     if alpha_bar == 0.0:
         return kg, p_i
     basis = basis or get_basis()
@@ -409,13 +396,16 @@ def _cm_corrected_density_grid(alpha_bar, m=None, n_trials=10_000_000, basis=Non
     return kg, dens
 
 
-def cm_density_correction(k, alpha_bar, m=None, n_trials=10_000_000, basis=None):
+def cm_density_correction(k, alpha_bar, m=None, basis=None):
     """Density of the CM law when the second bridge mode is lifted by alpha_bar a2^2.
 
-    Valid for alpha_bar small against lambda_2 = 1/(4 pi^2); at
-    alpha_bar = 0 it returns the baseline density exactly.
+    The Bessel-form correction is convolved with the exact baseline density
+    of the m-point bridge spectrum, obtained by inverting its characteristic
+    function, so the result is deterministic.  Valid for alpha_bar small
+    against lambda_2 = 1/(4 pi^2); at alpha_bar = 0 it returns the baseline
+    density exactly.
     """
-    kg, dens = _cm_corrected_density_grid(alpha_bar, m=m, n_trials=n_trials, basis=basis)
+    kg, dens = _cm_corrected_density_grid(alpha_bar, m=m, basis=basis)
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ParameterError("CM statistic values must be >= 0")
@@ -423,9 +413,10 @@ def cm_density_correction(k, alpha_bar, m=None, n_trials=10_000_000, basis=None)
     return out if out.ndim else float(out)
 
 
-def cm_corrected_cdf(k, alpha_bar, m=None, n_trials=10_000_000, basis=None):
-    """CDF companion of cm_density_correction (cumulative trapezoid of the density)."""
-    kg, dens = _cm_corrected_density_grid(alpha_bar, m=m, n_trials=n_trials, basis=basis)
+def cm_corrected_cdf(k, alpha_bar, m=None, basis=None):
+    """CDF companion of cm_density_correction: cumulative trapezoid of the same
+    deterministic density (exact baseline plus Bessel-form correction)."""
+    kg, dens = _cm_corrected_density_grid(alpha_bar, m=m, basis=basis)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(kg))])
     k = np.asarray(k, dtype=float)
     out = np.interp(k, kg, cdf)

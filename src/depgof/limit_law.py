@@ -33,9 +33,12 @@ class StatisticDistribution:
 
     kind: str                 # "ks" or "cm"
     samples: np.ndarray       # ascending
-    n_trials: int
     spectrum_digest: str
     grid_m: int
+
+    @property
+    def n_trials(self):
+        return self.samples.size
 
     def quantile(self, u):
         return np.quantile(self.samples, u)
@@ -123,10 +126,10 @@ def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
     ks = np.sort(np.concatenate([p[0] for p in parts]))
     cm = np.sort(np.concatenate([p[1] for p in parts]))
     return (
-        StatisticDistribution(kind="ks", samples=ks, n_trials=n_trials,
-                              spectrum_digest=spectrum.digest, grid_m=g.m),
-        StatisticDistribution(kind="cm", samples=cm, n_trials=n_trials,
-                              spectrum_digest=spectrum.digest, grid_m=g.m),
+        StatisticDistribution(kind="ks", samples=ks, spectrum_digest=spectrum.digest,
+                              grid_m=g.m),
+        StatisticDistribution(kind="cm", samples=cm, spectrum_digest=spectrum.digest,
+                              grid_m=g.m),
     )
 
 
@@ -177,10 +180,8 @@ def simulate_iid_statistic_distribution(m, n_trials, seed, refine=True):
     cm = np.sort(np.concatenate(cm_parts))
     digest = f"bridge:iid:m={m}:refined={refine}"
     return (
-        StatisticDistribution(kind="ks", samples=ks, n_trials=n_trials,
-                              spectrum_digest=digest, grid_m=m),
-        StatisticDistribution(kind="cm", samples=cm, n_trials=n_trials,
-                              spectrum_digest=digest, grid_m=m),
+        StatisticDistribution(kind="ks", samples=ks, spectrum_digest=digest, grid_m=m),
+        StatisticDistribution(kind="cm", samples=cm, spectrum_digest=digest, grid_m=m),
     )
 
 

@@ -14,9 +14,9 @@ the verb chain write the same bytes.  Matrices are CSV rows under a
 one-line header ``# depgof <kind> m=<M> lag=<t>``, laws single-column
 sorted samples, results one JSON object per line (name, ks, cm, p_ks, p_cm).
 
-The environment variable DEPGOF_THREADS overrides the configured worker
-count for Monte-Carlo law simulation.  All stages are deterministic given
-the config and seed.
+The ``threads`` key sets the worker count for Monte-Carlo law simulation;
+it does not change any result.  All stages are deterministic given the
+config and seed.
 """
 
 import json
@@ -34,6 +34,8 @@ from .grid import QuantileGrid
 _MODELS = ("empirical", "ar1", "fgn", "iid")
 _TARGETS = ("volmodel", "gaussian")
 _PANEL_STREAM = 1   # spawn-key prefix of panel columns; law chunk j uses the key (j,)
+# settings each `reproduce` experiment reads its config file over
+PRESETS = {"fig2": {}, "fig3": {"n": 1500, "sigma2": 1.0}}
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,10 @@ class PipelineConfig:
 _FIELD_TYPES = {f.name: f.type for f in PipelineConfig.__dataclass_fields__.values()}
 
 
-def parse_config_text(text):
-    """Parse ``key=value`` lines into a PipelineConfig."""
-    values = {}
+def parse_config_text(text, preset=None):
+    """Parse ``key=value`` lines into a PipelineConfig; a line overrides the
+    ``preset`` dict, which overrides the field defaults."""
+    values = dict(preset or {})
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,11 +107,11 @@ def parse_config_text(text):
     return PipelineConfig(**values)
 
 
-def load_config(path):
+def load_config(path, preset=None):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), preset)
 
 
 @dataclass
@@ -220,7 +223,7 @@ def read_distribution(path):
             raise DataError(f"{path}: not a statistic-distribution artifact ({kind})")
         samples = np.loadtxt(fh, ndmin=1)
     return limit_law.StatisticDistribution(
-        kind=kind[4:], samples=np.sort(samples), n_trials=samples.size,
+        kind=kind[4:], samples=np.sort(samples),
         spectrum_digest=f"file:{os.path.basename(path)}", grid_m=m)
 
 
@@ -231,16 +234,6 @@ def write_results(path, rows):
 
 
 # --- pipeline stages -------------------------------------------------------
-
-def _n_threads(config):
-    env = os.environ.get("DEPGOF_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"DEPGOF_THREADS must be an integer, got {env!r}") from None
-    return max(1, config.threads)
-
 
 def _model(config):
     """(params, generator) of the synthetic model named by the config."""
@@ -339,7 +332,7 @@ def diagonalize(kernel, outdir=None):
 def simulate_laws(spectrum, config, seed, outdir=None, suffix=""):
     """Monte-Carlo KS and CM laws of the spectrum; writes law_{ks,cm}<suffix>.csv."""
     laws = limit_law.simulate_statistic_distribution(
-        spectrum, config.n_trials, seed, n_threads=_n_threads(config))
+        spectrum, config.n_trials, seed, n_threads=max(1, config.threads))
     if outdir:
         for dist in laws:
             write_distribution(os.path.join(outdir, f"law_{dist.kind}{suffix}.csv"), dist)
@@ -407,9 +400,9 @@ def reproduce(which, config):
     ``fig2``: AR(1) log-vol series (g=0.88, Sigma^2=0.05, N=2500 by default);
     with the naive iid laws the p-values pile up near zero, with the
     dependence-corrected laws they are uniform.
-    ``fig3``: long-memory FGN series (nu=2/5, Sigma^2=1, N=1500 by default);
-    the corrected law improves the p-value distribution without making it
-    exactly uniform.
+    ``fig3``: long-memory FGN series (nu=2/5; ``depgof reproduce fig3`` reads
+    its config over ``PRESETS["fig3"]``, Sigma^2=1, N=1500); the corrected
+    law improves the p-value distribution without making it exactly uniform.
 
     Emits plot-ready tables: per-replication p-values under both laws,
     quantile reduction ratios, and a JSON summary with uniformity tests.
@@ -417,12 +410,7 @@ def reproduce(which, config):
     if which == "fig2":
         config = replace(config, model="ar1")
     elif which == "fig3":
-        updates = {"model": "fgn"}
-        if config.n == PipelineConfig.n:
-            updates["n"] = 1500
-        if config.sigma2 == PipelineConfig.sigma2:
-            updates["sigma2"] = 1.0
-        config = replace(config, **updates)
+        config = replace(config, model="fgn")
     else:
         raise ConfigError(f"unknown experiment {which!r} (use fig2 or fig3)")
     outdir = config.outdir

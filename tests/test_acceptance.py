@@ -200,7 +200,7 @@ def test_criterion_07_perturbative_spectrum():
 def test_criterion_08_cm_density_correction():
     start = time.perf_counter()
     alpha_bar = 0.005
-    # analytic corrected CDF (baseline density from 1e7 Monte-Carlo trials)
+    # analytic corrected CDF (exact baseline density by characteristic-function inversion)
     kk = np.arange(0.05, 2.0 + 1e-9, 0.01)
     cdf_analytic = cm_corrected_cdf(kk, alpha_bar)
     kg = np.arange(0.0, 5.0 + 5e-4, 1e-3)

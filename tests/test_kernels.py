@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 from scipy.special import ndtr, roots_hermite
 
@@ -30,8 +31,14 @@ from depgof import (
     perturbative_spectrum,
     psi_accumulate,
 )
-from depgof.kernels import ar1_psi_coefficient, fgn_psi_coefficient
+from depgof.kernels import (
+    _cm_density,
+    _iid_cm_density,
+    ar1_psi_coefficient,
+    fgn_psi_coefficient,
+)
 from depgof.lognormal import get_basis
+from conftest import cramer_von_mises_series
 
 AR1 = Ar1LogVolParams(g=0.88, sigma2=0.05)
 
@@ -42,7 +49,7 @@ def _bridge_values(grid):
 
 
 def test_kernel_from_zero_psi_is_bridge(grid):
-    psi = PsiSurface(grid=grid, values=np.zeros((100, 100)), n=1000, t_max=1)
+    psi = PsiSurface(grid=grid, values=np.zeros((100, 100)), t_max=1)
     k = build_kernel_from_psi(psi)
     assert_allclose(np.diagonal(k.values), grid.points * (1 - grid.points), atol=1e-15)
     assert_allclose(k.values, _bridge_values(grid), atol=1e-15)
@@ -53,7 +60,7 @@ def test_kernel_from_zero_psi_is_bridge(grid):
 
 def test_kernel_from_constant_psi_scales_spectrum(grid):
     c = 0.35
-    psi = PsiSurface(grid=grid, values=np.full((100, 100), c), n=1000, t_max=1)
+    psi = PsiSurface(grid=grid, values=np.full((100, 100), c), t_max=1)
     spec = eigendecompose(build_kernel_from_psi(psi))
     base = eigendecompose(brownian_bridge_kernel(grid))
     assert_allclose(spec.eigenvalues, (1 + c) * base.eigenvalues, rtol=1e-12)
@@ -283,14 +290,35 @@ def test_commutation_overlaps(grid, basis):
 
 def test_cm_density_zero_correction_is_baseline():
     k = np.linspace(0.01, 2.0, 50)
-    base = cm_density_correction(k, 0.0, n_trials=300_000)
-    again = cm_density_correction(k, 0.0, n_trials=300_000)
-    assert np.array_equal(base, again)
+    base = cm_density_correction(k, 0.0)
+    again = cm_density_correction(k, 0.0)
+    assert np.array_equal(base, again)   # deterministic, with no cache behind it
     assert np.all(base >= 0)
 
 
-def test_cm_density_normalization_small_trials():
+def test_cm_density_normalization():
     kg = np.arange(0.0, 5.0 + 5e-4, 1e-3)
-    dens = cm_density_correction(kg, 0.005, n_trials=1_000_000)
+    dens = cm_density_correction(kg, 0.005)
     total = np.trapezoid(dens, kg)
-    assert abs(total - 1.0) < 3e-3
+    assert abs(total - 1.0) < 1e-5
+
+
+def test_cm_density_correction_matches_exact_inverse(grid, basis):
+    kg, base, lam = _iid_cm_density(grid.m)
+    # baseline against independent references: mass, mean Tr I, omega^2 series
+    assert abs(np.trapezoid(base, kg) - 1.0) < 1e-9
+    assert abs(np.trapezoid(kg * base, kg) - lam.sum()) < 1e-8
+    kk = np.linspace(0.05, 2.0, 200)
+    cdf = np.interp(kk, kg, cumulative_trapezoid(base, kg, initial=0.0))
+    assert np.abs(cdf - cramer_von_mises_series(kk)).max() < 1e-3
+    # Bessel-form correction against the exact law with lambda_2 lifted to mu
+    alpha_bar = 0.005
+    a, _ = basis.tables(grid)
+    a2 = grid.integrate(a * grid.sine_mode(2)) / math.sqrt(grid.integrate(a * a))
+    lifted = lam.copy()
+    lifted[1] += alpha_bar * a2 ** 2
+    _, exact = _cm_density(lifted)
+    dens = cm_density_correction(kg, alpha_bar)
+    assert np.abs(dens - exact).max() < 1e-4
+    gap = cumulative_trapezoid(dens - exact, kg, initial=0.0)
+    assert np.abs(gap).max() < 1e-5

@@ -32,8 +32,7 @@ from conftest import kolmogorov_series
 
 def _dist(kind, samples, m=100):
     samples = np.sort(np.asarray(samples, dtype=float))
-    return StatisticDistribution(kind=kind, samples=samples, n_trials=samples.size,
-                                 spectrum_digest="test", grid_m=m)
+    return StatisticDistribution(kind=kind, samples=samples, spectrum_digest="test", grid_m=m)
 
 
 def test_kolmogorov_cdf_values():

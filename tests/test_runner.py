@@ -130,8 +130,8 @@ def test_distribution_artifact_roundtrip(tmp_path):
     from depgof import StatisticDistribution
 
     samples = np.sort(np.random.default_rng(7).random(500))
-    dist = StatisticDistribution(kind="cm", samples=samples, n_trials=500,
-                                 spectrum_digest="x", grid_m=64)
+    dist = StatisticDistribution(kind="cm", samples=samples, spectrum_digest="x",
+                                 grid_m=64)
     path = str(tmp_path / "law.csv")
     write_distribution(path, dist)
     loaded = read_distribution(path)
@@ -285,19 +285,28 @@ def test_cli_reproduce_smoke(tmp_path, capsys):
     assert os.path.exists(out / "results_corrected.jsonl")
 
 
-def test_env_thread_override(tmp_path, monkeypatch):
-    config = _tiny_config(tmp_path, outdir=str(tmp_path / "thr"))
-    monkeypatch.setenv("DEPGOF_THREADS", "2")
-    with pytest.warns(RuntimeWarning):
+@pytest.mark.parametrize("n_line, expected_n", [("n=2500\n", 2500), ("", 1500)],
+                         ids=["explicit", "preset"])
+def test_cli_reproduce_fig3_keeps_explicit_values(tmp_path, n_line, expected_n):
+    out = tmp_path / "fig3"
+    cfg = _write(tmp_path, "fig3.cfg",
+                 f"{n_line}replications=4\ngrid_m=15\nn_trials=2000\nseed=2\n"
+                 f"outdir={out}\n")
+    with pytest.warns(RuntimeWarning):   # n_trials below the quantile guidance
+        assert main(["reproduce", "fig3", "-c", cfg]) == 0
+    summary = json.load(open(out / "summary.json", encoding="utf-8"))
+    assert summary["model"] == "fgn"
+    assert summary["n"] == expected_n
+
+
+def test_law_threads_do_not_change_artifacts(tmp_path):
+    digests = []
+    for threads in (2, 1):   # 40000 trials are three law chunks
+        config = _tiny_config(tmp_path, threads=threads, n_trials=40_000,
+                              outdir=str(tmp_path / f"t{threads}"))
         run_pipeline(config)
-    first = _hash_dir(config.outdir)
-    monkeypatch.delenv("DEPGOF_THREADS")
-    with pytest.warns(RuntimeWarning):
-        run_pipeline(config)
-    assert _hash_dir(config.outdir) == first
-    monkeypatch.setenv("DEPGOF_THREADS", "x")
-    with pytest.raises(ConfigError):
-        run_pipeline(config)
+        digests.append(_hash_dir(config.outdir))
+    assert digests[0] == digests[1]
 
 
 def _dir_bytes(path):
