@@ -123,8 +123,8 @@ def empirical_copula(x, y, grid, lag=0, clip_frechet=True):
     return CopulaSurface(grid=grid, lag=lag, values=values)
 
 
-def self_copula_at_lag(series, t, grid, clip_frechet=True):
-    """Self-copula of (X_1..X_{N-t}) against (X_{1+t}..X_N).
+def self_copula_at_lag(series, t, grid):
+    """Frechet-clipped self-copula of (X_1..X_{N-t}) against (X_{1+t}..X_N).
 
     C_t(u,v) is not symmetric in (u,v) in general: conditioning on the past
     differs from conditioning on the future whenever the dynamics are
@@ -136,15 +136,15 @@ def self_copula_at_lag(series, t, grid, clip_frechet=True):
     if x.size <= t + grid.m:
         raise DataError(
             f"series of length {x.size} too short for lag {t} on an m={grid.m} grid")
-    return empirical_copula(x[:-t], x[t:], grid, lag=t, clip_frechet=clip_frechet)
+    return empirical_copula(x[:-t], x[t:], grid, lag=t)
 
 
-def average_self_copula(panel, t, grid, clip_frechet=True):
+def average_self_copula(panel, t, grid):
     """Entrywise mean of per-series lag-t self-copulas over a panel."""
     acc = None
     count = 0
     for series in panel:
-        surf = self_copula_at_lag(series, t, grid, clip_frechet=clip_frechet)
+        surf = self_copula_at_lag(series, t, grid)
         acc = surf.values if acc is None else acc + surf.values
         count += 1
     if count == 0:

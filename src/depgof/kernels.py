@@ -197,11 +197,10 @@ class PerturbativeInputs:
         return max(abs(self.alpha_bar), abs(self.rho_bar), abs(self.beta_bar)) > 0.5
 
     @classmethod
-    def from_lag_coefficients(cls, coeffs, n, grid=None, basis=None):
-        """Reduce per-lag (alpha, beta, rho) sequences with weights (1 - t/n)."""
-        grid = grid or QuantileGrid()
-        basis = basis or get_basis()
-        tr_a, tr_r = basis.traces(grid)
+    def from_lag_coefficients(cls, coeffs, n, grid=None):
+        """Reduce per-lag (alpha, beta, rho) sequences with weights (1 - t/n),
+        traces taken of the reference (s = 1) basis on ``grid``."""
+        tr_a, tr_r = get_basis().traces(grid or QuantileGrid())
         wa = wr = wb = 0.0
         for c in coeffs:
             w = 1.0 - c.t / n
@@ -212,11 +211,11 @@ class PerturbativeInputs:
                    beta_bar=2.0 * math.sqrt(tr_a * tr_r) * wb)
 
 
-def _unit_modes(grid, basis):
-    """Sign-fixed unit-norm A and R modes: overlaps with sin(2.) and sin(1.) positive."""
+def _unit_modes(grid):
+    """Sign-fixed unit-norm s = 1 A and R modes: overlaps with sin(2.) and sin(1.) positive."""
+    basis = get_basis()
     a, r = basis.tables(grid)
-    tr_a = grid.integrate(a * a)
-    tr_r = grid.integrate(r * r)
+    tr_a, tr_r = basis.traces(grid)
     ua = a / math.sqrt(tr_a)
     ur = r / math.sqrt(tr_r)
     if grid.integrate(ua * grid.sine_mode(2)) < 0:
@@ -226,22 +225,21 @@ def _unit_modes(grid, basis):
     return ua, ur
 
 
-def build_kernel_pseudo_elliptical(inputs, grid, basis=None):
+def build_kernel_pseudo_elliptical(inputs, grid):
     """Kernel I + alpha_bar P_A + rho_bar P_R - (beta_bar/2)(P_B + P_B^T).
 
-    P_A and P_R are the unit-trace projectors onto the A and R modes and
-    P_B the cross operator |R><A|.  This is the exact reference that the
-    perturbative spectrum approximates.
+    P_A and P_R are the unit-trace projectors onto the A and R modes of the
+    reference (s = 1) basis and P_B the cross operator |R><A|.  This is the
+    exact reference that the perturbative spectrum approximates.
     """
-    basis = basis or get_basis()
-    ua, ur = _unit_modes(grid, basis)
+    ua, ur = _unit_modes(grid)
     h = _bridge(grid) + inputs.alpha_bar * np.outer(ua, ua) + inputs.rho_bar * np.outer(ur, ur)
     cross = np.outer(ur, ua)
     h = h - 0.5 * inputs.beta_bar * (cross + cross.T)
     return KernelMatrix(grid=grid, values=h)
 
 
-def perturbative_spectrum(inputs, grid=None, basis=None, n_modes=20, j_sum=40):
+def perturbative_spectrum(inputs, grid):
     """Second-order spectrum of the pseudo-elliptical kernel without diagonalizing it.
 
     The A mode nearly coincides with sin(2 pi u) and the R mode with
@@ -256,18 +254,16 @@ def perturbative_spectrum(inputs, grid=None, basis=None, n_modes=20, j_sum=40):
     eps_r |1perp> enter eigenvalues at second order and eigenvectors at
     first order.
 
-    Returns a Spectrum whose eigenvectors are first-order accurate and
-    orthonormal only to O(eps^2); use eigendecompose for exact output.
+    The couplings are summed over the first min(40, m) sine orders and the
+    leading min(20, m) modes are kept.  Returns a Spectrum whose
+    eigenvectors are first-order accurate and orthonormal only to O(eps^2);
+    use eigendecompose for exact output.
     """
     if inputs.outside_small_regime:
         warnings.warn("couplings exceed 0.5; perturbative accuracy is not guaranteed",
                       RuntimeWarning, stacklevel=2)
-    grid = grid or QuantileGrid()
-    basis = basis or get_basis()
-    if j_sum > grid.m:
-        j_sum = grid.m
-    n_modes = min(n_modes, j_sum)
-    ua, ur = _unit_modes(grid, basis)
+    j_sum = min(40, grid.m)
+    ua, ur = _unit_modes(grid)
     sines = np.stack([grid.sine_mode(j) for j in range(1, j_sum + 1)], axis=1)
     lam_i = 1.0 / (np.arange(1, j_sum + 1) * np.pi) ** 2
 
@@ -324,7 +320,7 @@ def perturbative_spectrum(inputs, grid=None, basis=None, n_modes=20, j_sum=40):
                 vec = vec + (vmat[i, j] / (lam_i[j] - lam_pair[i])) * (sines[:, :2] @ pair_vecs[i])
         vec_out[:, j] = vec / math.sqrt(grid.integrate(vec * vec))
 
-    order = np.argsort(lam_out)[::-1][:n_modes]
+    order = np.argsort(lam_out)[::-1][:20]
     digest = "perturbative:" + hashlib.sha1(
         np.round(lam_out[order], 12).tobytes()).hexdigest()[:16]
     return Spectrum(grid=grid, eigenvalues=lam_out[order],
@@ -362,13 +358,12 @@ def _iid_cm_density(m):
     return (*_cm_density(lam), lam)
 
 
-def _cm_corrected_density_grid(alpha_bar, m=None, basis=None):
-    grid = QuantileGrid(m or QuantileGrid().m)
+def _cm_corrected_density_grid(alpha_bar):
+    grid = QuantileGrid()
     kg, p_i, lam = _iid_cm_density(grid.m)
     if alpha_bar == 0.0:
         return kg, p_i
-    basis = basis or get_basis()
-    ua, _ = _unit_modes(grid, basis)
+    ua, _ = _unit_modes(grid)
     a2sq = grid.integrate(ua * grid.sine_mode(2)) ** 2
     lam2 = lam[1]
     mu = lam2 + alpha_bar * a2sq
@@ -396,16 +391,17 @@ def _cm_corrected_density_grid(alpha_bar, m=None, basis=None):
     return kg, dens
 
 
-def cm_density_correction(k, alpha_bar, m=None, basis=None):
+def cm_density_correction(k, alpha_bar):
     """Density of the CM law when the second bridge mode is lifted by alpha_bar a2^2.
 
-    The Bessel-form correction is convolved with the exact baseline density
-    of the m-point bridge spectrum, obtained by inverting its characteristic
-    function, so the result is deterministic.  Valid for alpha_bar small
-    against lambda_2 = 1/(4 pi^2); at alpha_bar = 0 it returns the baseline
-    density exactly.
+    a2 is the overlap of the s = 1 A mode with sin(2 pi u) on the default
+    100-point grid.  The Bessel-form correction is convolved with the exact
+    baseline density of that grid's bridge spectrum, obtained by inverting
+    its characteristic function, so the result is deterministic.  Valid for
+    alpha_bar small against lambda_2 = 1/(4 pi^2); at alpha_bar = 0 it
+    returns the baseline density exactly.
     """
-    kg, dens = _cm_corrected_density_grid(alpha_bar, m=m, basis=basis)
+    kg, dens = _cm_corrected_density_grid(alpha_bar)
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ParameterError("CM statistic values must be >= 0")
@@ -413,10 +409,10 @@ def cm_density_correction(k, alpha_bar, m=None, basis=None):
     return out if out.ndim else float(out)
 
 
-def cm_corrected_cdf(k, alpha_bar, m=None, basis=None):
+def cm_corrected_cdf(k, alpha_bar):
     """CDF companion of cm_density_correction: cumulative trapezoid of the same
     deterministic density (exact baseline plus Bessel-form correction)."""
-    kg, dens = _cm_corrected_density_grid(alpha_bar, m=m, basis=basis)
+    kg, dens = _cm_corrected_density_grid(alpha_bar)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(kg))])
     k = np.asarray(k, dtype=float)
     out = np.interp(k, kg, cdf)

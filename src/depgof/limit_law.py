@@ -36,6 +36,11 @@ class StatisticDistribution:
     spectrum_digest: str
     grid_m: int
 
+    def __post_init__(self):
+        s = self.samples
+        if s.ndim != 1 or s.size == 0 or not np.isfinite(s).all():
+            raise DataError("a statistic distribution needs a non-empty column of finite samples")
+
     @property
     def n_trials(self):
         return self.samples.size
@@ -94,12 +99,22 @@ def sample_limit_process(spectrum, seed):
     return spectrum.eigenvectors @ (np.sqrt(spectrum.eigenvalues) * z)
 
 
-def _law_chunk(spectrum, synth, weight, seed, index, count):
-    z = _chunk_rng(seed, index).standard_normal((count, spectrum.n_modes))
-    y = z @ synth
-    ks = np.abs(y).max(axis=1)
-    cm = np.einsum("ij,ij->i", y, y) * weight
-    return ks, cm
+def _simulate(draw, n_trials, seed, digest, m, n_threads=1):
+    """Sorted KS and CM laws from ``draw(rng, count) -> (ks, cm)`` over fixed chunks.
+
+    Chunk i holds up to _CHUNK trials drawn from _chunk_rng(seed, i), so the
+    samples do not depend on n_threads.
+    """
+    if n_trials < 1:
+        raise ParameterError("need at least one trial")
+    counts = [min(_CHUNK, n_trials - s) for s in range(0, n_trials, _CHUNK)]
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        parts = list(pool.map(lambda i, count: draw(_chunk_rng(seed, i), count),
+                              range(len(counts)), counts))
+    return tuple(
+        StatisticDistribution(kind=kind, samples=np.sort(np.concatenate(samples)),
+                              spectrum_digest=digest, grid_m=m)
+        for kind, samples in zip(("ks", "cm"), zip(*parts)))
 
 
 def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
@@ -109,28 +124,17 @@ def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
     fixed chunks of 16384 seeded by (seed, chunk), so the result does not
     depend on n_threads.
     """
-    if n_trials < 1:
-        raise ParameterError("need at least one trial")
-    if n_trials < 10_000:
+    if 1 <= n_trials < 10_000:
         warnings.warn(f"n_trials={n_trials} is small for quantile use; "
                       "p-values will be coarse", RuntimeWarning, stacklevel=2)
-    g = spectrum.grid
     synth = (spectrum.eigenvectors * np.sqrt(spectrum.eigenvalues)[None, :]).T
-    counts = [min(_CHUNK, n_trials - s) for s in range(0, n_trials, _CHUNK)]
-    args = [(spectrum, synth, g.weight, seed, i, c) for i, c in enumerate(counts)]
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(lambda a: _law_chunk(*a), args))
-    else:
-        parts = [_law_chunk(*a) for a in args]
-    ks = np.sort(np.concatenate([p[0] for p in parts]))
-    cm = np.sort(np.concatenate([p[1] for p in parts]))
-    return (
-        StatisticDistribution(kind="ks", samples=ks, spectrum_digest=spectrum.digest,
-                              grid_m=g.m),
-        StatisticDistribution(kind="cm", samples=cm, spectrum_digest=spectrum.digest,
-                              grid_m=g.m),
-    )
+    weight = spectrum.grid.weight
+
+    def draw(rng, count):
+        y = rng.standard_normal((count, spectrum.n_modes)) @ synth
+        return np.abs(y).max(axis=1), np.einsum("ij,ij->i", y, y) * weight
+
+    return _simulate(draw, n_trials, seed, spectrum.digest, spectrum.grid.m, n_threads)
 
 
 def simulate_iid_statistic_distribution(m, n_trials, seed, refine=True):
@@ -145,24 +149,13 @@ def simulate_iid_statistic_distribution(m, n_trials, seed, refine=True):
     statistic stays a grid quadrature.  With ``refine`` off, the law
     matches simulate_statistic_distribution on the bridge spectrum.
     """
-    if n_trials < 1:
-        raise ParameterError("need at least one trial")
     g = QuantileGrid(m)
     w = g.weight
-    u = g.points
-    ks_parts = []
-    cm_parts = []
-    done = 0
-    index = 0
-    while done < n_trials:
-        b = min(_CHUNK, n_trials - done)
-        rng = _chunk_rng(seed, index)
-        incr = rng.standard_normal((b, m + 1)) * math.sqrt(w)
-        walk = np.cumsum(incr, axis=1)
-        y = np.empty((b, m + 2))
-        y[:, 0] = 0.0
-        y[:, -1] = 0.0
-        y[:, 1:m + 1] = walk[:, :m] - np.outer(walk[:, m], u)
+
+    def draw(rng, b):
+        walk = np.cumsum(rng.standard_normal((b, m + 1)) * math.sqrt(w), axis=1)
+        y = np.zeros((b, m + 2))
+        y[:, 1:m + 1] = walk[:, :m] - np.outer(walk[:, m], g.points)
         inner = y[:, 1:m + 1]
         if refine:
             a = y[:, :-1]
@@ -170,25 +163,16 @@ def simulate_iid_statistic_distribution(m, n_trials, seed, refine=True):
             gap2 = (c - a) ** 2
             hi = 0.5 * ((a + c) + np.sqrt(gap2 - 2.0 * w * np.log(rng.random((b, m + 1)))))
             lo = 0.5 * ((a + c) - np.sqrt(gap2 - 2.0 * w * np.log(rng.random((b, m + 1)))))
-            ks_parts.append(np.maximum(hi, -lo).max(axis=1))
+            ks = np.maximum(hi, -lo).max(axis=1)
         else:
-            ks_parts.append(np.abs(inner).max(axis=1))
-        cm_parts.append(np.einsum("ij,ij->i", inner, inner) * w)
-        done += b
-        index += 1
-    ks = np.sort(np.concatenate(ks_parts))
-    cm = np.sort(np.concatenate(cm_parts))
-    digest = f"bridge:iid:m={m}:refined={refine}"
-    return (
-        StatisticDistribution(kind="ks", samples=ks, spectrum_digest=digest, grid_m=m),
-        StatisticDistribution(kind="cm", samples=cm, spectrum_digest=digest, grid_m=m),
-    )
+            ks = np.abs(inner).max(axis=1)
+        return ks, np.einsum("ij,ij->i", inner, inner) * w
+
+    return _simulate(draw, n_trials, seed, f"bridge:iid:m={m}:refined={refine}", m)
 
 
 def p_value(stat, dist):
     """Upper-tail Monte-Carlo p-value (r+1)/(n_trials+1), r = #samples >= stat."""
-    if dist.n_trials == 0:
-        raise DataError("empty statistic distribution")
     r = dist.n_trials - np.searchsorted(dist.samples, stat, side="left")
     return (r + 1.0) / (dist.n_trials + 1.0)
 
@@ -251,8 +235,6 @@ def reduction_ratio(dep, iid, u):
     """Quantile ratio dep/iid at level u: the effective sample-size deflation sqrt(N/N_eff)."""
     if dep.kind != iid.kind:
         raise ParameterError(f"distribution kinds differ: {dep.kind} vs {iid.kind}")
-    if dep.n_trials == 0 or iid.n_trials == 0:
-        raise DataError("empty statistic distribution")
     if not 0.0 < u < 1.0:
         raise ParameterError("quantile level must be inside (0,1)")
     return float(dep.quantile(u) / iid.quantile(u))

@@ -168,9 +168,9 @@ class LagCoefficients:
         return max(abs(self.alpha), abs(self.beta), abs(self.rho)) > 0.3
 
 
-def copula_expansion(u, v, coeffs, basis=None):
-    """Linearized copula excess C_t(u,v) - uv for given lag coefficients."""
-    basis = basis or get_basis()
+def copula_expansion(u, v, coeffs):
+    """Linearized copula excess C_t(u,v) - uv of lag coefficients in the s = 1 basis."""
+    basis = get_basis()
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     au, ru = basis.a_tilde(u), basis.r_tilde(u)

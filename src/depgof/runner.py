@@ -14,9 +14,9 @@ the verb chain write the same bytes.  Matrices are CSV rows under a
 one-line header ``# depgof <kind> m=<M> lag=<t>``, laws single-column
 sorted samples, results one JSON object per line (name, ks, cm, p_ks, p_cm).
 
-The ``threads`` key sets the worker count for Monte-Carlo law simulation;
-it does not change any result.  All stages are deterministic given the
-config and seed.
+The ``threads`` key (>= 1) sets the worker count for Monte-Carlo law
+simulation; it does not change any result.  All stages are deterministic
+given the config and seed.
 """
 
 import json
@@ -70,6 +70,9 @@ class PipelineConfig:
             raise ConfigError(f"t_max must be >= 1 (or 0 for auto), got {self.t_max}")
         if self.n_trials < 1_000:
             raise ConfigError(f"n_trials must be >= 1000, got {self.n_trials}")
+        for name, least in (("seed", 0), ("replications", 1), ("threads", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def resolved_t_max(self, n):
         t = self.t_max if self.t_max else min(512, n // 2)
@@ -136,8 +139,8 @@ class PanelData:
             yield name, self.values[:, j]
 
 
-def ingest_csv(path, delimiter=","):
-    """Read a UTF-8 delimited panel: header row of names, numeric rows.
+def ingest_csv(path):
+    """Read a UTF-8 comma-separated panel: header row of names, numeric rows.
 
     Any unparsable or non-finite cell fails the whole ingest with the
     offending row number and column name; silent row dropping would bias
@@ -149,10 +152,10 @@ def ingest_csv(path, delimiter=","):
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
-    names = [c.strip() for c in lines[0].split(delimiter)]
+    names = [c.strip() for c in lines[0].split(",")]
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(delimiter)
+        cells = line.split(",")
         if len(cells) != len(names):
             raise DataError(f"{path}: row {lineno} has {len(cells)} cells, expected {len(names)}")
         parsed = []
@@ -196,17 +199,25 @@ def write_matrix(path, kind, values, m, lag=0):
 
 def _parse_header(path, header):
     parts = header.split()
-    if len(parts) != 5 or parts[:2] != ["#", "depgof"] or not all("=" in p for p in parts[3:]):
-        raise DataError(f"{path}: not a depgof artifact (header {header!r})")
-    meta = dict(p.split("=", 1) for p in parts[3:])
-    return parts[2], int(meta["m"]), int(meta["lag"])
+    meta = dict(p.partition("=")[::2] for p in parts[3:])
+    try:
+        if len(parts) == 5 and parts[:2] == ["#", "depgof"]:
+            return parts[2], int(meta["m"]), int(meta["lag"])
+    except (ValueError, KeyError):
+        pass
+    raise DataError(f"{path}: not a depgof artifact (header {header!r})")
 
 
 def read_matrix(path):
-    """Return (kind, m, lag, values) from a matrix artifact."""
+    """Return (kind, m, lag, values) from a matrix artifact of m columns."""
     with open(path, encoding="utf-8") as fh:
         kind, m, lag = _parse_header(path, fh.readline().strip())
-        values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
+    if values.shape[1] != m:
+        raise DataError(f"{path}: {values.shape[1]} columns, but the header says m={m}")
     return kind, m, lag, values
 
 
@@ -221,10 +232,12 @@ def read_distribution(path):
         kind, m, _ = _parse_header(path, fh.readline().strip())
         if not kind.startswith("law_"):
             raise DataError(f"{path}: not a statistic-distribution artifact ({kind})")
-        samples = np.loadtxt(fh, ndmin=1)
-    return limit_law.StatisticDistribution(
-        kind=kind[4:], samples=np.sort(samples),
-        spectrum_digest=f"file:{os.path.basename(path)}", grid_m=m)
+        try:
+            return limit_law.StatisticDistribution(
+                kind=kind[4:], samples=np.sort(np.loadtxt(fh, ndmin=1)),
+                spectrum_digest=f"file:{os.path.basename(path)}", grid_m=m)
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def write_results(path, rows):
@@ -332,7 +345,7 @@ def diagonalize(kernel, outdir=None):
 def simulate_laws(spectrum, config, seed, outdir=None, suffix=""):
     """Monte-Carlo KS and CM laws of the spectrum; writes law_{ks,cm}<suffix>.csv."""
     laws = limit_law.simulate_statistic_distribution(
-        spectrum, config.n_trials, seed, n_threads=max(1, config.threads))
+        spectrum, config.n_trials, seed, n_threads=config.threads)
     if outdir:
         for dist in laws:
             write_distribution(os.path.join(outdir, f"law_{dist.kind}{suffix}.csv"), dist)
@@ -358,6 +371,9 @@ def _target_cdf(config, panel):
 
 def test_panel(panel, config, dist_ks, dist_cm, outdir=None, filename="results.jsonl"):
     """Test every column against its target CDF; writes results.jsonl (or `filename`)."""
+    if {dist_ks.grid_m, dist_cm.grid_m} != {config.grid_m}:
+        raise DataError(f"null laws were simulated on grids m={dist_ks.grid_m}, "
+                        f"m={dist_cm.grid_m}; the config has grid_m={config.grid_m}")
     cdfs = _target_cdf(config, panel)
     rows = []
     results = []

@@ -272,7 +272,7 @@ def test_perturbative_matches_eigensolver(grid):
 def test_perturbative_inputs_reduction(grid, basis):
     tr_a, tr_r = basis.traces(grid)
     coeffs = [LagCoefficients(t=1, alpha=0.2, beta=0.1, rho=-0.05)]
-    inputs = PerturbativeInputs.from_lag_coefficients(coeffs, n=100, grid=grid, basis=basis)
+    inputs = PerturbativeInputs.from_lag_coefficients(coeffs, n=100, grid=grid)
     w = 1 - 1 / 100
     assert_allclose(inputs.alpha_bar, 2 * tr_a * w * 0.2, rtol=1e-12)
     assert_allclose(inputs.rho_bar, 2 * tr_r * w * (-0.05), rtol=1e-12)

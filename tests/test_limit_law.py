@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import kstest, norm
 
@@ -27,6 +29,7 @@ from depgof import (
     simulate_statistic_distribution,
     uniformity_pvalue,
 )
+from depgof.limit_law import _CHUNK
 from conftest import kolmogorov_series
 
 
@@ -78,6 +81,29 @@ def test_simulate_deterministic_and_thread_independent(grid):
     assert np.array_equal(a_ks.samples, b_ks.samples)
     assert np.array_equal(a_cm.samples, b_cm.samples)
     assert a_ks.spectrum_digest == spec.digest
+
+
+_SMALL_SPECTRUM = eigendecompose(build_kernel_ar1(Ar1LogVolParams(0.6, 0.1), QuantileGrid(10)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+@settings(max_examples=15, deadline=None)
+@given(n_trials=st.integers(1, 3 * _CHUNK + 5), seed=st.integers(0, 2 ** 32 - 1))
+@example(n_trials=_CHUNK, seed=0)
+@example(n_trials=2 * _CHUNK + 1, seed=1)
+def test_chunk_driver_invariants(n_trials, seed):
+    laws = [simulate_statistic_distribution(_SMALL_SPECTRUM, n_trials, seed, n_threads=t)
+            for t in (1, 2, 3)]
+    for ks, cm in laws[1:]:
+        assert ks.samples.tobytes() == laws[0][0].samples.tobytes()
+        assert cm.samples.tobytes() == laws[0][1].samples.tobytes()
+    refined = simulate_iid_statistic_distribution(10, n_trials, seed)
+    plain = simulate_iid_statistic_distribution(10, n_trials, seed, refine=False)
+    # the increments are drawn before the refinement uniforms
+    assert refined[1].samples.tobytes() == plain[1].samples.tobytes()
+    for dist in (*laws[0], *refined, *plain):
+        assert dist.samples.size == n_trials
+        assert np.all(np.diff(dist.samples) >= 0)
 
 
 def test_cm_moment_cross_check(grid):

@@ -1,6 +1,9 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +117,9 @@ def test_config_parsing_and_validation():
     for value in ("true", "ture", "0"):   # the removed estimate switch is not read as false
         with pytest.raises(ConfigError, match="unknown key 'estimate'"):
             parse_config_text(f"model=ar1\nestimate = {value}\n")
+    for line in ("seed=-1", "replications=0", "threads=0", "threads=-4"):
+        with pytest.raises(ConfigError, match=line.split("=")[0]):
+            parse_config_text(line + "\n")
 
 
 def test_matrix_artifact_roundtrip(tmp_path):
@@ -140,10 +146,23 @@ def test_distribution_artifact_roundtrip(tmp_path):
     assert np.array_equal(loaded.samples, samples)
 
 
+@pytest.mark.filterwarnings("ignore:loadtxt")   # numpy warns before the empty law is refused
 def test_bad_artifact_header(tmp_path):
-    path = _write(tmp_path, "bad.csv", "not a header\n1,2\n")
-    with pytest.raises(DataError):
-        read_matrix(path)
+    cases = [
+        (read_matrix, "not a header\n1,2\n"),
+        (read_matrix, "# depgof kernel m=2 lag=x\n1,2\n2,1\n"),
+        (read_matrix, "# depgof kernel size=2 lag=0\n1,2\n2,1\n"),
+        (read_matrix, "# depgof kernel m=2 lag=0\n1,2\n2\n"),            # ragged rows
+        (read_matrix, "# depgof kernel m=3 lag=0\n1,2\n2,1\n"),          # m disagrees
+        (read_distribution, "# depgof law_ks m=20 lag=0\n0.5\nabc\n"),
+        (read_distribution, "# depgof law_cm m=20 lag=0\n"),               # empty law
+        (read_distribution, "# depgof law_cm m=20 lag=0\n0.1\nnan\n"),
+        (read_distribution, "# depgof law_ks m=20 lag=0\n0.1 0.2\n0.3 0.4\n"),
+    ]
+    for i, (reader, text) in enumerate(cases):
+        path = _write(tmp_path, f"bad{i}.csv", text)
+        with pytest.raises(DataError, match=f"bad{i}.csv"):
+            reader(path)
 
 
 def _tiny_config(tmp_path, **over):
@@ -230,6 +249,13 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["pipeline", "-c", str(tmp_path / "void.cfg")]) == 2
 
+    # a kernel whose header disagrees with its 20 x 20 values is a data error
+    cfg_law = _write(tmp_path, "law.cfg", f"model=iid\ngrid_m=20\noutdir={tmp_path}/k\n")
+    os.makedirs(tmp_path / "k")
+    write_matrix(str(tmp_path / "k" / "kernel.csv"), "kernel", np.eye(20), m=21)
+    assert main(["law", "-c", cfg_law, "--seed", "1"]) == 3
+    assert "kernel.csv" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
 def test_cli_rejects_non_finite_cells(tmp_path, capsys, cell):
@@ -242,6 +268,34 @@ def test_cli_rejects_non_finite_cells(tmp_path, capsys, cell):
     assert main(["estimate", "-c", cfg]) == 3
     err = capsys.readouterr().err
     assert "row 8, column 'y'" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+def test_cli_test_refuses_laws_of_another_grid(tmp_path, capsys):
+    out = tmp_path / "grid"
+    cfg = _write(tmp_path, "grid.cfg", "model=iid\nn=300\nreplications=3\ngrid_m=20\n"
+                 f"n_trials=2000\noutdir={out}\n")
+    for verb in (["generate", "--seed", "5"], ["kernel"], ["law", "--seed", "6"]):
+        assert main([verb[0], "-c", cfg] + verb[1:]) == 0
+    for kind in ("ks", "cm"):
+        law = out / f"law_{kind}.csv"
+        law.write_text(law.read_text().replace("m=20", "m=30", 1))
+    capsys.readouterr()
+    assert main(["test", "-c", cfg]) == 3
+    assert "grid_m=20" in capsys.readouterr().err
+    assert not (out / "results.jsonl").exists()
+
+
+def test_tracer_names_exist():
+    # the benchmark's tracer rebinds these public names; a removed one breaks it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.TRACED.items():
+        module = importlib.import_module(f"depgof.{layer}")
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, f"depgof.{layer} lacks {missing}"
 
 
 def test_cli_seed_required_for_generate_and_law(tmp_path):
