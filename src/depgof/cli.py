@@ -87,6 +87,9 @@ def cmd_test(args):
     panel = runner.load_panel(config)
     dist_ks, dist_cm = (runner.read_distribution(_artifact(config, f"law_{k}.csv", "law"))
                         for k in ("ks", "cm"))
+    for kind, law in (("ks", dist_ks), ("cm", dist_cm)):
+        if law.kind != kind:
+            raise DataError(f"{config.outdir}/law_{kind}.csv holds the {law.kind} law")
     results = runner.test_panel(panel, config, dist_ks, dist_cm, outdir=config.outdir)
     rejected = sum(1 for r in results if r.cm_p < 0.05)
     print(f"wrote {config.outdir}/results.jsonl "

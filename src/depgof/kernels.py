@@ -9,9 +9,9 @@ where I is the Brownian-bridge kernel (eigenpairs (j pi)^{-2},
 sqrt(2) sin(j pi u)) and Psi the lag-summed copula excess.  This module
 builds H from an estimated Psi or from model parameters, solves the
 discretized Mercer eigenproblem, and provides the analytic machinery for
-weakly dependent pseudo-elliptical models: the rank-one perturbation
-algebra, a second-order perturbative spectrum, and a closed-form
-correction of the Cramer-von Mises density.
+weakly dependent pseudo-elliptical models: a second-order spectrum by
+matrix perturbation theory on the kernel's excess over the bridge, and a
+closed-form correction of the Cramer-von Mises density.
 
 Kernel construction and eigendecomposition are single-threaded per
 kernel; distinct kernels can be processed concurrently.  Spectrum objects
@@ -242,89 +242,45 @@ def build_kernel_pseudo_elliptical(inputs, grid):
 def perturbative_spectrum(inputs, grid):
     """Second-order spectrum of the pseudo-elliptical kernel without diagonalizing it.
 
-    The A mode nearly coincides with sin(2 pi u) and the R mode with
-    sin(pi u) (overlaps a2, r1 close to one), so the kernel is an almost
-    diagonal perturbation of the bridge spectrum.  The (sin 1, sin 2) block
+    The kernel's excess E = H - I is projected on the first J = min(40, m)
+    sine modes, v[i, j] = <i|E|j>.  The A and R modes nearly coincide with
+    sin(2 pi u) and sin(pi u), so H is an almost diagonal perturbation of
+    the bridge spectrum lam_j = (j pi)^-2 apart from the near-degenerate
+    block diag(lam_1, lam_2) + v[:2, :2].  That block is diagonalized
+    exactly, each eigenvector b signed so that its larger component is
+    positive; Rayleigh-Schroedinger theory (Kato 1966) then couples it to
+    the orders j >= 3 through V = b^T v[:2, 2:], shifting eigenvalues at
+    second order and mixing eigenvectors at first order, while each order
+    j >= 3 also takes its own v[j, j].
 
-        [[lam_1 + rho_bar r1^2,  -beta_bar r1 a2 / 2],
-         [-beta_bar r1 a2 / 2,   lam_2 + alpha_bar a2^2]]
-
-    is diagonalized exactly (its eigenvalues are the lambda_+- pair); the
-    residual couplings through the orthogonal remainders eps_a |2perp>,
-    eps_r |1perp> enter eigenvalues at second order and eigenvectors at
-    first order.
-
-    The couplings are summed over the first min(40, m) sine orders and the
-    leading min(20, m) modes are kept.  Returns a Spectrum whose
+    The leading min(20, m) modes are kept.  Returns a Spectrum whose
     eigenvectors are first-order accurate and orthonormal only to O(eps^2);
     use eigendecompose for exact output.
     """
     if inputs.outside_small_regime:
         warnings.warn("couplings exceed 0.5; perturbative accuracy is not guaranteed",
                       RuntimeWarning, stacklevel=2)
-    j_sum = min(40, grid.m)
-    ua, ur = _unit_modes(grid)
-    sines = np.stack([grid.sine_mode(j) for j in range(1, j_sum + 1)], axis=1)
-    lam_i = 1.0 / (np.arange(1, j_sum + 1) * np.pi) ** 2
-
-    a_ovl = (ua @ sines) * grid.weight   # <U_A | j>
-    r_ovl = (ur @ sines) * grid.weight
-    a2 = a_ovl[1]
-    r1 = r_ovl[0]
-    eps_a = math.sqrt(max(0.0, 1.0 - a2 ** 2))
-    eps_r = math.sqrt(max(0.0, 1.0 - r1 ** 2))
-    # components of the orthogonal remainders on the sine basis (j >= 3)
-    c2p = np.zeros(j_sum)
-    c1p = np.zeros(j_sum)
-    if eps_a > 0:
-        c2p[3::2] = a_ovl[3::2] / eps_a   # even sine orders j = 4, 6, ...
-    if eps_r > 0:
-        c1p[2::2] = r_ovl[2::2] / eps_r   # odd sine orders j = 3, 5, ...
-
-    d1 = lam_i[0] + inputs.rho_bar * r1 ** 2
-    d2 = lam_i[1] + inputs.alpha_bar * a2 ** 2
-    off = -0.5 * inputs.beta_bar * r1 * a2
-    disc = math.sqrt((d1 - d2) ** 2 + 4.0 * off ** 2)
-    lam_pair = (0.5 * (d1 + d2 + disc), 0.5 * (d1 + d2 - disc))
-    pair_vecs = []
-    for lam in lam_pair:
-        v = np.array([off, lam - d1]) if abs(off) > 0 else (
-            np.array([1.0, 0.0]) if abs(lam - d1) <= abs(lam - d2) else np.array([0.0, 1.0]))
-        pair_vecs.append(v / np.linalg.norm(v))
-
-    # first-order couplings V[i, j] between the pair modes and |j>, j >= 3
-    vmat = np.zeros((2, j_sum))
-    for i, (b1, b2) in enumerate(pair_vecs):
-        vmat[i, 2:] = ((inputs.rho_bar * r1 * b1 - 0.5 * inputs.beta_bar * a2 * b2)
-                       * c1p[2:] * eps_r
-                       + (inputs.alpha_bar * a2 * b2 - 0.5 * inputs.beta_bar * r1 * b1)
-                       * c2p[2:] * eps_a)
-
-    lam_out = np.empty(j_sum)
-    vec_out = np.empty((grid.m, j_sum))
-    for i in range(2):
-        shift = np.sum(vmat[i, 2:] ** 2 / (lam_pair[i] - lam_i[2:]))
-        lam_out[i] = lam_pair[i] + shift
-        vec = sines[:, :2] @ pair_vecs[i]
-        vec = vec + sines[:, 2:] @ (vmat[i, 2:] / (lam_pair[i] - lam_i[2:]))
-        vec_out[:, i] = vec / math.sqrt(grid.integrate(vec * vec))
-    for j in range(2, j_sum):
-        second = sum(vmat[i, j] ** 2 / (lam_i[j] - lam_pair[i]) for i in range(2))
-        diag = (inputs.alpha_bar * eps_a ** 2 * c2p[j] ** 2
-                + inputs.rho_bar * eps_r ** 2 * c1p[j] ** 2
-                - inputs.beta_bar * eps_a * eps_r * c1p[j] * c2p[j])
-        lam_out[j] = lam_i[j] + second + diag
-        vec = sines[:, j].copy()
-        for i in range(2):
-            if vmat[i, j] != 0.0:
-                vec = vec + (vmat[i, j] / (lam_i[j] - lam_pair[i])) * (sines[:, :2] @ pair_vecs[i])
-        vec_out[:, j] = vec / math.sqrt(grid.integrate(vec * vec))
+    j = np.arange(1, min(40, grid.m) + 1)
+    sines = np.sqrt(2.0) * np.sin(np.outer(grid.points, j * np.pi))
+    lam = 1.0 / (j * np.pi) ** 2
+    excess = build_kernel_pseudo_elliptical(inputs, grid).values - _bridge(grid)
+    v = sines.T @ excess @ sines * grid.weight ** 2
+    lam_pair, b = np.linalg.eigh(np.diag(lam[:2]) + v[:2, :2])
+    lam_pair, b = lam_pair[::-1], b[:, ::-1]
+    b = b * np.sign(b[np.abs(b).argmax(axis=0), [0, 1]])
+    coupling = b.T @ v[:2, 2:]
+    step = coupling / (lam_pair[:, None] - lam[2:])   # first-order mixing coefficients
+    shift = coupling * step                           # second-order eigenvalue shifts
+    lam_out = np.concatenate([lam_pair + shift.sum(axis=1),
+                              lam[2:] + np.diag(v)[2:] - shift.sum(axis=0)])
+    vecs = sines @ np.block([[b, -b @ step], [step.T, np.eye(j.size - 2)]])
+    vecs = vecs / np.sqrt(grid.integrate(vecs.T ** 2))
 
     order = np.argsort(lam_out)[::-1][:20]
     digest = "perturbative:" + hashlib.sha1(
         np.round(lam_out[order], 12).tobytes()).hexdigest()[:16]
     return Spectrum(grid=grid, eigenvalues=lam_out[order],
-                    eigenvectors=vec_out[:, order], digest=digest)
+                    eigenvectors=vecs[:, order], digest=digest)
 
 
 # ---------------------------------------------------------------------------

@@ -432,9 +432,8 @@ def reproduce(which, config):
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
     panel = generate_panel(config, outdir=outdir)
-    spectrum = kernels.eigendecompose(build_kernel(config, config.n, outdir=outdir))
-    iid_spectrum = kernels.eigendecompose(
-        kernels.brownian_bridge_kernel(QuantileGrid(config.grid_m)))
+    spectrum = diagonalize(build_kernel(config, config.n, outdir=outdir))
+    iid_spectrum = diagonalize(build_kernel(replace(config, model="iid"), config.n))
     corr_ks, corr_cm = simulate_laws(spectrum, config, config.seed, outdir, "_corrected")
     iid_ks, iid_cm = simulate_laws(iid_spectrum, config, config.seed + 1, outdir, "_iid")
 

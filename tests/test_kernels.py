@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
@@ -258,15 +260,27 @@ def test_perturbative_alpha_shift(grid, basis):
     assert_allclose(spec.eigenvalues[1], 1.0 / np.pi ** 2, atol=2e-5)
 
 
-def test_perturbative_matches_eigensolver(grid):
-    inputs = PerturbativeInputs(alpha_bar=0.05, rho_bar=0.02, beta_bar=0.01)
-    exact = eigendecompose(build_kernel_pseudo_elliptical(inputs, grid))
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([10, 20, 50, 100]), alpha_bar=st.floats(0.0, 0.05),
+       rho_bar=st.floats(0.0, 0.05), beta_bar=st.floats(-0.05, 0.05))
+@example(m=100, alpha_bar=0.05, rho_bar=0.02, beta_bar=0.01)
+def test_perturbative_matches_eigensolver(m, alpha_bar, rho_bar, beta_bar):
+    # negative alpha_bar or rho_bar of this size make the dense kernel indefinite
+    grid = QuantileGrid(m)
+    inputs = PerturbativeInputs(alpha_bar, rho_bar, beta_bar)
+    g2 = max(alpha_bar, rho_bar, abs(beta_bar)) ** 2
     approx = perturbative_spectrum(inputs, grid)
-    assert np.abs(exact.eigenvalues[:5] - approx.eigenvalues[:5]).max() < 5e-4
-    # eigenvectors align to first order
-    for j in range(3):
-        overlap = abs(grid.integrate(exact.eigenvectors[:, j] * approx.eigenvectors[:, j]))
-        assert overlap > 0.999
+    exact = eigendecompose(build_kernel_pseudo_elliptical(inputs, grid))
+    lam = approx.eigenvalues
+    assert lam.size == min(20, m) and np.all(np.diff(lam) <= 0)
+    assert_allclose(grid.integrate(approx.eigenvectors.T ** 2), 1.0, rtol=1e-12)
+    # err0: gap between (j pi)^-2 and the m-point bridge; 1e-15 and 1e-12 allow for rounding
+    err0 = np.abs(eigendecompose(brownian_bridge_kernel(grid)).eigenvalues[:5]
+                  - 1.0 / (np.arange(1, 6) * np.pi) ** 2).max()
+    assert np.abs(lam[:5] - exact.eigenvalues[:5]).max() <= err0 + 0.05 * g2 + 1e-15
+    # the top three eigenvectors align to first order
+    overlap = np.abs(grid.integrate((exact.eigenvectors[:, :3] * approx.eigenvectors[:, :3]).T))
+    assert np.all(1.0 - overlap <= 0.05 * g2 + 1e-12)
 
 
 def test_perturbative_inputs_reduction(grid, basis):

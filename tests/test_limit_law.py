@@ -29,7 +29,7 @@ from depgof import (
     simulate_statistic_distribution,
     uniformity_pvalue,
 )
-from depgof.limit_law import _CHUNK
+from depgof.limit_law import _CHUNK, sup_distance
 from conftest import kolmogorov_series
 
 
@@ -285,3 +285,13 @@ def test_uniformity_pvalue_detects_shift():
     rng = np.random.default_rng(79)
     assert uniformity_pvalue(rng.random(400)) > 0.01
     assert uniformity_pvalue(rng.random(400) * 0.5) < 1e-6
+
+
+def test_uniformity_pvalue_keeps_tiny_tail():
+    # 1 - K(k) cancels to 0 once K(k) rounds to 1; the tail series does not
+    p = np.linspace(0.001, 0.5, 350)
+    k = math.sqrt(p.size) * sup_distance(p)
+    j = np.arange(1, 5)
+    tail = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j ** 2 * k ** 2))
+    assert tail > 1e-77
+    assert_allclose(uniformity_pvalue(p), tail, rtol=1e-10)

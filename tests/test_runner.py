@@ -256,6 +256,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["law", "-c", cfg_law, "--seed", "1"]) == 3
     assert "kernel.csv" in capsys.readouterr().err
 
+    # swapped law files are a data error that names the file, not a config error
+    cfg_swap = _write(tmp_path, "swap.cfg", "model=iid\nn=300\nreplications=3\ngrid_m=20\n"
+                      f"outdir={tmp_path}/s\n")
+    assert main(["generate", "-c", cfg_swap, "--seed", "5"]) == 0
+    for name, kind in (("ks", "cm"), ("cm", "ks")):
+        (tmp_path / "s" / f"law_{name}.csv").write_text(f"# depgof law_{kind} m=20 lag=0\n1\n")
+    capsys.readouterr()
+    assert main(["test", "-c", cfg_swap]) == 3
+    assert "law_ks.csv" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
 def test_cli_rejects_non_finite_cells(tmp_path, capsys, cell):
