@@ -21,13 +21,14 @@ from depgof import (
     run_gof_test,
     simulate_statistic_distribution,
     uniformity_pvalue,
-    vol_model_cdf,
+    vol_model_quantiles,
 )
 
 grid = QuantileGrid(100)
 params = Ar1LogVolParams(g=0.88, sigma2=0.05)
 s = math.sqrt(params.stationary_var)
 replications, n = 200, 2500
+q = vol_model_quantiles(grid, s)
 
 corr = eigendecompose(build_kernel_ar1(params, grid))
 iid = eigendecompose(brownian_bridge_kernel(grid))
@@ -37,8 +38,8 @@ iid_ks, iid_cm = simulate_statistic_distribution(iid, 100_000, seed=12)
 p_iid, p_corr = [], []
 for r in range(replications):
     x = gen_ar1_logvol(params, n, np.random.SeedSequence(entropy=3, spawn_key=(r,)))
-    p_iid.append(run_gof_test(x, lambda v: vol_model_cdf(v, s), iid_ks, iid_cm).cm_p)
-    p_corr.append(run_gof_test(x, lambda v: vol_model_cdf(v, s), corr_ks, corr_cm).cm_p)
+    p_iid.append(run_gof_test(x, q, iid_ks, iid_cm).cm_p)
+    p_corr.append(run_gof_test(x, q, corr_ks, corr_cm).cm_p)
 
 edges = np.linspace(0, 1, 11)
 hist_iid, _ = np.histogram(p_iid, bins=edges)

@@ -64,6 +64,7 @@ from .lognormal import (
     marginal_quantile,
     r_tilde,
     vol_model_cdf,
+    vol_model_quantiles,
 )
 from .runner import (
     PanelData,

@@ -257,6 +257,9 @@ def perturbative_spectrum(inputs, grid):
     eigenvectors are first-order accurate and orthonormal only to O(eps^2);
     use eigendecompose for exact output.
     """
+    if grid.m < 2:
+        raise ParameterError(f"the (sin 1, sin 2) block of the perturbative spectrum "
+                             f"needs a grid of m >= 2 points, got m={grid.m}")
     if inputs.outside_small_regime:
         warnings.warn("couplings exceed 0.5; perturbative accuracy is not guaranteed",
                       RuntimeWarning, stacklevel=2)

@@ -171,27 +171,28 @@ def p_value(stat, dist):
     return (r + 1.0) / (dist.n_trials + 1.0)
 
 
-def run_gof_test(series, target_cdf, dist_ks, dist_cm):
-    """Test one series against a target CDF using supplied null laws.
+def run_gof_test(series, quantiles, dist_ks, dist_cm):
+    """Test one series against a target marginal given by its quantiles at the law grid.
 
-    The empirical bridge sqrt(N)(F_N - u) is evaluated at the interior
-    quantile grid of the null laws, so the finite-grid sup/sum biases of
-    the statistic and of its reference distribution cancel.
+    ``quantiles`` holds F^{-1}(u_i) at the interior grid levels u_i of the
+    null laws, so the empirical bridge sqrt(N)(F_N(u_i) - u_i) is read off
+    as #{x <= F^{-1}(u_i)}/N without evaluating F at the sample.  Testing at
+    the grid of the laws makes the finite-grid sup/sum biases of the
+    statistic and of its reference distribution cancel.
     """
     if dist_ks.kind != "ks" or dist_cm.kind != "cm":
         raise ParameterError("distributions must be (ks, cm) in that order")
     if dist_ks.grid_m != dist_cm.grid_m:
         raise ParameterError("null laws were built on different grids")
+    g = QuantileGrid(dist_ks.grid_m)
+    q = np.asarray(quantiles, dtype=float)
+    if q.shape != (g.m,):
+        raise DataError(f"need one target quantile per grid level ({g.m}), got shape {q.shape}")
+    if not np.isfinite(q).all() or np.any(np.diff(q) < 0):
+        raise DataError("target quantiles must be finite and non-decreasing")
     x = as_series(series)
     n = x.size
-    order = np.sort(x)
-    f_sorted = np.asarray(target_cdf(order), dtype=float)
-    if np.any(~np.isfinite(f_sorted)) or np.any((f_sorted < 0) | (f_sorted > 1)):
-        raise DataError("target CDF must map the sample into [0,1]")
-    if np.any(np.diff(f_sorted) < -1e-12):
-        raise DataError("target CDF is not monotone on the sample range")
-    g = QuantileGrid(dist_ks.grid_m)
-    ecdf = np.searchsorted(f_sorted, g.points, side="right") / n
+    ecdf = np.searchsorted(np.sort(x), q, side="right") / n
     y = math.sqrt(n) * (ecdf - g.points)
     ks = float(np.abs(y).max())
     cm = float(np.sum(y * y) * g.weight)

@@ -19,8 +19,11 @@ when the expansion should match a specific generator.
 
 All integrals over w use Gauss-Hermite quadrature.  The default node
 count is chosen so that doubling it moves the basis tables by less than
-1e-9.  Instances precompute nothing; grid tables are cached on first use
-and are safe to share across threads read-only.
+1e-9.  The nodes are computed once per node count and shared read-only by
+every basis.  Quantiles come from one vectorized Newton solve over all
+levels, safeguarded by a bracket: the CDF and the density of a step come
+from the same quadrature pass.  Grid tables (quantiles, A and R) are
+cached on first use and are safe to share across threads read-only.
 """
 
 import math
@@ -28,12 +31,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, roots_hermite
+from scipy.special import ndtr, ndtri, roots_hermite
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 DEFAULT_QUADRATURE_NODES = 384
+_BRACKET_DOUBLINGS = 60
+_NEWTON_STEPS = 100
+_HERMITE = {}
 
 
 def _phi(z):
@@ -44,6 +49,17 @@ def _dphi(z):
     return -z * _phi(z)
 
 
+def _hermite(nodes):
+    """Standard-normal Gauss-Hermite (nodes, weights), computed once per node count."""
+    if nodes not in _HERMITE:
+        t, w = roots_hermite(nodes)
+        omega, weights = math.sqrt(2.0) * t, w / math.sqrt(math.pi)
+        omega.flags.writeable = False
+        weights.flags.writeable = False
+        _HERMITE[nodes] = omega, weights
+    return _HERMITE[nodes]
+
+
 class LogNormalVolBasis:
     """Marginal CDF, quantile and expansion basis at one vol-of-vol scale."""
 
@@ -52,9 +68,7 @@ class LogNormalVolBasis:
             raise ParameterError(f"vol-of-vol scale must be >= 0, got s={s}")
         self.s = float(s)
         self.nodes = int(nodes)
-        t, w = roots_hermite(self.nodes)
-        self._omega = math.sqrt(2.0) * t          # N(0,1) nodes
-        self._weights = w / math.sqrt(math.pi)
+        self._omega, self._weights = _hermite(self.nodes)   # N(0,1) nodes
         self._grid_tables = {}
 
     def _expect(self, f, x):
@@ -66,21 +80,46 @@ class LogNormalVolBasis:
         return self._expect(ndtr, np.asarray(x, dtype=float))
 
     def quantile(self, u):
-        """Inverse marginal CDF by bracketed root finding (|residual| < 1e-10)."""
+        """Inverse marginal CDF of every level at once, by Newton steps kept inside a
+        bracket (a step that leaves it bisects it) until a step or the bracket is
+        below 1e-13."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
+        if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
             raise ParameterError("quantile level must lie strictly inside (0,1)")
-        out = np.empty_like(u_arr)
-        for i, ui in enumerate(u_arr):
-            hi = 60.0
-            while self.cdf(hi) < ui:
-                hi *= 2.0
-            lo = -60.0
-            while self.cdf(lo) > ui:
-                lo *= 2.0
-            out[i] = brentq(lambda x: float(self.cdf(x)) - ui, lo, hi,
-                            xtol=1e-13, rtol=8.9e-16)
-        return out if np.ndim(u) else float(out[0])
+        # solve in the lower half, where the CDF has relative resolution, and use
+        # F(-x) = 1 - F(x); 1 - u is exact for u > 1/2
+        upper = u_arr > 0.5
+        u_arr = np.where(upper, 1.0 - u_arr, u_arr)
+        lo, hi = np.full(u_arr.shape, -60.0), np.full(u_arr.shape, 60.0)
+        for _ in range(_BRACKET_DOUBLINGS):
+            low_hi, high_lo = self.cdf(hi) < u_arr, self.cdf(lo) > u_arr
+            if not (low_hi.any() or high_lo.any()):
+                break
+            hi[low_hi] *= 2.0
+            lo[high_lo] *= 2.0
+        else:
+            raise NumericalError("cannot bracket the marginal quantile")
+        x = np.clip(ndtri(u_arr), lo, hi)    # exact at s = 0
+        scale = np.exp(-self.s * self._omega)
+        for _ in range(_NEWTON_STEPS):
+            z = x[:, None] * scale
+            resid = ndtr(z) @ self._weights - u_arr
+            density = (_phi(z) * scale) @ self._weights
+            lo = np.where(resid < 0.0, x, lo)
+            hi = np.where(resid > 0.0, x, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = x - resid / density
+            # converged: a Newton step below tolerance, an exact root, or a bracket
+            # narrower than tolerance (a CDF value resolves only to its rounding)
+            tol = 1e-13 + 4e-16 * np.abs(x)
+            small = np.abs(newton - x) <= tol
+            if np.all(small | (resid == 0.0) | (hi - lo <= tol)):
+                x = np.where(upper, -1.0, 1.0) * np.where(small, newton, x)
+                return x if np.ndim(u) else float(x[0])
+            # a Newton step that does not land inside the bracket bisects it
+            inside = (newton > lo) & (newton < hi)
+            x = np.where(small | inside, np.clip(newton, lo, hi), 0.5 * (lo + hi))
+        raise NumericalError(f"marginal quantile did not converge in {_NEWTON_STEPS} steps")
 
     def _at_quantile(self, f, u):
         vals = self._expect(f, np.atleast_1d(self.quantile(u)))
@@ -94,16 +133,24 @@ class LogNormalVolBasis:
         """Even basis function R(u) = E[phi(F^{-1}(u) e^{-s w})]; R(1/2) = (2 pi)^{-1/2}."""
         return self._at_quantile(_phi, u)
 
-    def tables(self, grid):
-        """(A, R) tabulated on the grid; computed once per grid and cached."""
+    def _tabulate(self, grid):
+        """(q, A, R) on the grid, q = F^{-1}(u_i); computed once per grid and cached."""
         key = grid.m
         if key not in self._grid_tables:
             q = self.quantile(grid.points)
             a, r = self._expect(_dphi, q), self._expect(_phi, q)
-            a.flags.writeable = False
-            r.flags.writeable = False
-            self._grid_tables[key] = (a, r)
+            for table in (q, a, r):
+                table.flags.writeable = False
+            self._grid_tables[key] = (q, a, r)
         return self._grid_tables[key]
+
+    def tables(self, grid):
+        """(A, R) tabulated on the grid, from the cached grid tables."""
+        return self._tabulate(grid)[1:]
+
+    def quantiles(self, grid):
+        """Marginal quantiles F^{-1}(u_i) of the grid levels, from the cached grid tables."""
+        return self._tabulate(grid)[0]
 
     def traces(self, grid):
         """(Tr A, Tr R) = quadrature of A^2 and R^2 on the grid."""
@@ -151,6 +198,12 @@ def vol_model_cdf(x, s):
     """
     basis = get_basis(s)
     return basis.cdf(np.asarray(x, dtype=float) * math.exp(s * s))
+
+
+def vol_model_quantiles(grid, s):
+    """Quantiles of the normalized model at the grid levels: the basis's cached
+    F_s^{-1}(u_i) times e^{-s^2}, the inverse of vol_model_cdf."""
+    return get_basis(s).quantiles(grid) * math.exp(-s * s)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ verb reads one stage's inputs back from the outdir, so ``pipeline`` and
 the verb chain write the same bytes.  Matrices are CSV rows under a
 one-line header ``# depgof <kind> m=<M> lag=<t>``, laws single-column
 sorted samples, results one JSON object per line (name, ks, cm, p_ks, p_cm).
+``test_panel`` reads each column's empirical CDF at its target's quantiles
+of the grid levels, so the target CDF is never evaluated at the samples.
 
 The ``threads`` key (>= 1) sets the worker count for Monte-Carlo law
 simulation; it does not change any result.  All stages are deterministic
@@ -34,6 +36,7 @@ from .grid import QuantileGrid
 _MODELS = ("empirical", "ar1", "fgn", "iid")
 _TARGETS = ("volmodel", "gaussian")
 _PANEL_STREAM = 1   # spawn-key prefix of panel columns; law chunk j uses the key (j,)
+_WRITE_BLOCK = 8192   # law lines formatted per write
 # settings each `reproduce` experiment reads its config file over
 PRESETS = {"fig2": {}, "fig3": {"n": 1500, "sigma2": 1.0}}
 
@@ -222,9 +225,15 @@ def read_matrix(path):
 
 
 def write_distribution(path, dist):
+    """One sample a line as %.17g, the bytes np.savetxt writes.
+
+    Each block of lines is formatted by one string operation; whole laws at
+    once would add their text and a tuple of floats to peak memory."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# depgof law_{dist.kind} m={dist.grid_m} lag=0\n")
-        np.savetxt(fh, dist.samples, fmt="%.17g")
+        for start in range(0, dist.samples.size, _WRITE_BLOCK):
+            block = dist.samples[start:start + _WRITE_BLOCK].tolist()
+            fh.write(("%.17g\n" * len(block)) % tuple(block))
 
 
 def read_distribution(path):
@@ -352,11 +361,13 @@ def simulate_laws(spectrum, config, seed, outdir=None, suffix=""):
     return laws
 
 
-def _target_cdf(config, panel):
-    """Null-marginal CDF per column: list of callables aligned with columns."""
+def _target_quantiles(config, panel):
+    """Null-marginal quantiles at the grid levels, one vector per column; the
+    shared basis of each distinct volatility scale solves for them once."""
+    grid = QuantileGrid(config.grid_m)
     k = len(panel.names)
     if config.target == "gaussian":
-        return [norm.cdf] * k
+        return [norm.ppf(grid.points)] * k
     if config.model != "empirical":
         s2 = [_model(config)[0].stationary_var] * k
     elif config.target_s2 >= 0.0:
@@ -366,19 +377,18 @@ def _target_cdf(config, panel):
         own = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
         total = own.sum()
         s2 = [max((total - v) / max(1, k - 1), 0.0) for v in own]
-    return [lambda x, s=math.sqrt(v): lognormal.vol_model_cdf(x, s) for v in s2]
+    return [lognormal.vol_model_quantiles(grid, math.sqrt(v)) for v in s2]
 
 
 def test_panel(panel, config, dist_ks, dist_cm, outdir=None, filename="results.jsonl"):
-    """Test every column against its target CDF; writes results.jsonl (or `filename`)."""
+    """Test every column at its target's grid quantiles; writes results.jsonl (or `filename`)."""
     if {dist_ks.grid_m, dist_cm.grid_m} != {config.grid_m}:
         raise DataError(f"null laws were simulated on grids m={dist_ks.grid_m}, "
                         f"m={dist_cm.grid_m}; the config has grid_m={config.grid_m}")
-    cdfs = _target_cdf(config, panel)
     rows = []
     results = []
-    for (name, col), cdf in zip(panel.columns(), cdfs):
-        res = limit_law.run_gof_test(col, cdf, dist_ks, dist_cm)
+    for (name, col), q in zip(panel.columns(), _target_quantiles(config, panel)):
+        res = limit_law.run_gof_test(col, q, dist_ks, dist_cm)
         results.append(res)
         rows.append({"name": name, "ks": res.ks_stat, "cm": res.cm_stat,
                      "p_ks": res.ks_p, "p_cm": res.cm_p})

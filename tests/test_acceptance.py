@@ -41,7 +41,7 @@ from depgof import (
     run_gof_test,
     simulate_iid_statistic_distribution,
     simulate_statistic_distribution,
-    vol_model_cdf,
+    vol_model_quantiles,
 )
 from depgof.copulas import copula_thresholds
 from depgof.lognormal import get_basis
@@ -134,12 +134,13 @@ def test_criterion_05_ar1_pvalue_uniformity():
     iid_spec = eigendecompose(brownian_bridge_kernel(GRID))
     corr_ks, corr_cm = simulate_statistic_distribution(corr_spec, 1_000_000, seed=103)
     iid_ks, iid_cm = simulate_statistic_distribution(iid_spec, 1_000_000, seed=104)
+    q = vol_model_quantiles(GRID, s_model)
     p = {"iid_ks": [], "iid_cm": [], "corr_ks": [], "corr_cm": []}
     for r in range(350):
         x = gen_ar1_logvol(params, 2500,
                            np.random.SeedSequence(entropy=0, spawn_key=(r,)))
-        res_i = run_gof_test(x, lambda v: vol_model_cdf(v, s_model), iid_ks, iid_cm)
-        res_c = run_gof_test(x, lambda v: vol_model_cdf(v, s_model), corr_ks, corr_cm)
+        res_i = run_gof_test(x, q, iid_ks, iid_cm)
+        res_c = run_gof_test(x, q, corr_ks, corr_cm)
         p["iid_ks"].append(res_i.ks_p)
         p["iid_cm"].append(res_i.cm_p)
         p["corr_ks"].append(res_c.ks_p)
@@ -168,11 +169,12 @@ def test_criterion_06_fgn_pvalue_improvement():
         steps = np.arange(1, srt.size + 1) / srt.size
         return max(np.abs(steps - srt).max(), np.abs(steps - 1 / srt.size - srt).max())
 
+    q = vol_model_quantiles(GRID, 1.0)
     p = {"iid_ks": [], "iid_cm": [], "corr_ks": [], "corr_cm": []}
     for r in range(350):
         x = gen_fgn_logvol(params, n, np.random.SeedSequence(entropy=0, spawn_key=(r,)))
-        res_i = run_gof_test(x, lambda v: vol_model_cdf(v, 1.0), iid_ks, iid_cm)
-        res_c = run_gof_test(x, lambda v: vol_model_cdf(v, 1.0), corr_ks, corr_cm)
+        res_i = run_gof_test(x, q, iid_ks, iid_cm)
+        res_c = run_gof_test(x, q, corr_ks, corr_cm)
         p["iid_ks"].append(res_i.ks_p)
         p["iid_cm"].append(res_i.cm_p)
         p["corr_ks"].append(res_c.ks_p)

@@ -283,6 +283,11 @@ def test_perturbative_matches_eigensolver(m, alpha_bar, rho_bar, beta_bar):
     assert np.all(1.0 - overlap <= 0.05 * g2 + 1e-12)
 
 
+def test_perturbative_needs_two_grid_points():
+    with pytest.raises(ParameterError, match=r"\(sin 1, sin 2\) block .* m >= 2"):
+        perturbative_spectrum(PerturbativeInputs(0.01, 0.0, 0.0), QuantileGrid(1))
+
+
 def test_perturbative_inputs_reduction(grid, basis):
     tr_a, tr_r = basis.traces(grid)
     coeffs = [LagCoefficients(t=1, alpha=0.2, beta=0.1, rho=-0.05)]

@@ -20,6 +20,7 @@ from depgof import (
     cm_moments,
     dominant_mode_cdf,
     eigendecompose,
+    gen_ar1_logvol,
     kolmogorov_cdf,
     p_value,
     reduction_ratio,
@@ -28,6 +29,8 @@ from depgof import (
     simulate_iid_statistic_distribution,
     simulate_statistic_distribution,
     uniformity_pvalue,
+    vol_model_cdf,
+    vol_model_quantiles,
 )
 from depgof.limit_law import _CHUNK, sup_distance
 from conftest import kolmogorov_series
@@ -191,7 +194,7 @@ def test_run_gof_test_null_pvalues_are_uniform(grid):
     pks, pcm = [], []
     for _ in range(350):
         x = rng.standard_normal(2000)
-        res = run_gof_test(x, norm.cdf, dist_ks, dist_cm)
+        res = run_gof_test(x, norm.ppf(grid.points), dist_ks, dist_cm)
         pks.append(res.ks_p)
         pcm.append(res.cm_p)
     assert kstest(pks, "uniform").pvalue > 0.01
@@ -203,14 +206,38 @@ def test_run_gof_test_input_checks(grid):
     spec = eigendecompose(brownian_bridge_kernel(grid))
     dist_ks, dist_cm = simulate_statistic_distribution(spec, 20_000, seed=41)
     x = np.random.default_rng(43).standard_normal(500)
+    q = norm.ppf(grid.points)
     with pytest.raises(ParameterError):
-        run_gof_test(x, norm.cdf, dist_cm, dist_ks)  # swapped kinds
-    with pytest.raises(DataError):
-        run_gof_test(x, lambda v: np.cos(3 * v) * 0.5 + 0.5, dist_ks, dist_cm)
+        run_gof_test(x, q, dist_cm, dist_ks)  # swapped kinds
+    with_nan = q.copy()
+    with_nan[40] = np.nan
+    for bad in (q[::-1], with_nan, q[:-1]):   # decreasing, NaN, one level short
+        with pytest.raises(DataError):
+            run_gof_test(x, bad, dist_ks, dist_cm)
     # constant series: degenerate bridge handled without crashing
-    res = run_gof_test(np.zeros(100), norm.cdf, dist_ks, dist_cm)
+    res = run_gof_test(np.zeros(100), q, dist_ks, dist_cm)
     assert res.ks_stat > 0
     assert 0 < res.ks_p <= 1
+
+
+def test_quantile_route_matches_the_cdf_route_on_a_fig2_panel(grid):
+    # fig2 shape: 350 AR(1) series of 1000 observations tested at their exact marginal
+    params = Ar1LogVolParams(0.88, 0.05)
+    s = math.sqrt(params.stationary_var)
+    q = vol_model_quantiles(grid, s)
+    law_ks, law_cm = _dist("ks", [0.5, 1.0, 2.0]), _dist("cm", [0.1, 0.3, 1.0])
+    for j in range(350):
+        x = gen_ar1_logvol(params, 1000, np.random.SeedSequence(entropy=1, spawn_key=(1, j)))
+        res = run_gof_test(x, q, law_ks, law_cm)
+        by_cdf = np.searchsorted(np.sort(vol_model_cdf(x, s)), grid.points, side="right") / x.size
+        by_q = np.searchsorted(np.sort(x), q, side="right") / x.size
+        for i in np.flatnonzero(by_cdf != by_q):
+            # a level may flip only for a sample within solver tolerance of q_i
+            assert np.abs(x - q[i]).min() <= 1e-12 * (1.0 + abs(q[i]))
+        if np.array_equal(by_cdf, by_q):
+            y = math.sqrt(x.size) * (by_cdf - grid.points)
+            assert res.ks_stat == float(np.abs(y).max())
+            assert res.cm_stat == float(np.sum(y * y) * grid.weight)
 
 
 def test_run_gof_grid_mismatch(grid):
@@ -220,7 +247,7 @@ def test_run_gof_grid_mismatch(grid):
     ks2, _ = simulate_statistic_distribution(other, 20_000, seed=47)
     with pytest.raises(ParameterError):
         run_gof_test(np.random.default_rng(1).standard_normal(300),
-                     norm.cdf, ks2, dist_cm)
+                     norm.ppf(grid.points), ks2, dist_cm)
 
 
 def test_dominant_mode_single_mode_is_exact():

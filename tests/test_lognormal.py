@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import ndtr, roots_hermite
 
 from depgof import (
     Ar1LogVolParams,
     LagCoefficients,
     LogNormalVolBasis,
+    NumericalError,
     ParameterError,
     QuantileGrid,
     StochasticVolParams,
@@ -24,7 +28,9 @@ from depgof import (
     marginal_quantile,
     r_tilde,
     vol_model_cdf,
+    vol_model_quantiles,
 )
+from depgof import lognormal
 
 
 def test_marginal_cdf_symmetry_and_limits():
@@ -216,3 +222,39 @@ def test_vol_model_cdf_matches_generator():
     ecdf = np.arange(1, xs.size + 1) / xs.size
     assert np.abs(f - ecdf).max() < 0.005
     assert_allclose(vol_model_cdf(0.0, 0.5), 0.5, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(s=st.floats(0.0, 2.5), m=st.sampled_from([10, 100]))
+@example(s=0.0, m=100)
+@example(s=2.5, m=100)
+@example(s=1.7888834824586421, m=100)   # the CDF near u = 0.99 resolves only 1.1e-16
+def test_vol_model_quantiles_invert_the_cdf(s, m):
+    grid = QuantileGrid(m)
+    q = vol_model_quantiles(grid, s)
+    assert np.abs(vol_model_cdf(q, s) - grid.points).max() <= 1e-12
+    assert np.all(np.diff(q) > 0)
+    assert_allclose(q, -q[::-1], rtol=0, atol=1e-12)
+
+
+def test_quantile_solve_checks_levels_and_fails_loudly(monkeypatch):
+    basis = LogNormalVolBasis(0.5)
+    assert basis.quantile(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert basis.quantile(np.array([0.25])).shape == (1,)
+    for bad in (0.0, 1.0, np.nan):
+        with pytest.raises(ParameterError):
+            basis.quantile(bad)
+    monkeypatch.setattr(lognormal, "_NEWTON_STEPS", 1)
+    with pytest.raises(NumericalError, match="did not converge"):
+        basis.quantile(np.array([0.01, 0.3]))
+
+
+def test_hermite_nodes_are_shared_read_only():
+    b1, b2 = LogNormalVolBasis(0.3), LogNormalVolBasis(0.7)
+    assert b1._omega is b2._omega and b1._weights is b2._weights
+    assert not b1._omega.flags.writeable and not b1._weights.flags.writeable
+    # the shared nodes are the ones each basis used to compute for itself
+    t, w = roots_hermite(b1.nodes)
+    x = np.linspace(-4.0, 4.0, 33)
+    own = ndtr(x[:, None] * np.exp(-0.3 * (math.sqrt(2.0) * t))) @ (w / math.sqrt(math.pi))
+    assert np.array_equal(b1.cdf(x), own)

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 from pathlib import Path
@@ -144,6 +145,22 @@ def test_distribution_artifact_roundtrip(tmp_path):
     assert loaded.kind == "cm"
     assert loaded.grid_m == 64
     assert np.array_equal(loaded.samples, samples)
+
+
+def test_distribution_artifact_bytes_match_savetxt(tmp_path):
+    from depgof import StatisticDistribution
+
+    rng = np.random.default_rng(11)
+    samples = np.sort(np.concatenate([
+        [0.0, -0.0, 1.0, 2.0, 7.0, -3.0, 1e-300, 5e-324, 2.2e-310, -1e-310, 1e300, 0.1],
+        rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)]))
+    dist = StatisticDistribution(kind="ks", samples=samples, spectrum_digest="x", grid_m=30)
+    path = tmp_path / "law.csv"
+    write_distribution(str(path), dist)
+    expected = io.StringIO()
+    expected.write("# depgof law_ks m=30 lag=0\n")
+    np.savetxt(expected, samples, fmt="%.17g")
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 @pytest.mark.filterwarnings("ignore:loadtxt")   # numpy warns before the empty law is refused
