@@ -41,11 +41,9 @@ from .limit_law import (
     GofResult,
     StatisticDistribution,
     dominant_mode_cdf,
-    kolmogorov_cdf,
     p_value,
     reduction_ratio,
     run_gof_test,
-    sample_limit_process,
     simulate_iid_statistic_distribution,
     simulate_statistic_distribution,
     uniformity_pvalue,
@@ -54,15 +52,10 @@ from .lognormal import (
     LagCoefficients,
     LogNormalVolBasis,
     MultifractalFit,
-    a_tilde,
-    copula_expansion,
     expansion_surface,
     fit_lag_coefficients,
     fit_multifractal,
     get_basis,
-    marginal_cdf,
-    marginal_quantile,
-    r_tilde,
     vol_model_cdf,
     vol_model_quantiles,
 )

@@ -157,8 +157,8 @@ def psi_accumulate(surfaces, n):
 
     The Delta_{-t} contribution is the transpose of Delta_t.  Surfaces are
     summed in ascending lag order.  On the interior grid the denominator
-    min(u,v) - uv is bounded below by u_1(1 - u_1) > 0, so no special
-    casing is needed; off-grid evaluation is not supported.
+    min(u,v) - uv (QuantileGrid.bridge) is positive, so no special casing
+    is needed; off-grid evaluation is not supported.
     """
     surfaces = sorted(surfaces, key=lambda s: s.lag)
     if not surfaces:
@@ -175,7 +175,7 @@ def psi_accumulate(surfaces, n):
     if t_max >= n:
         raise ParameterError(f"largest lag {t_max} must be < sample size {n}")
     uv = product_copula(grid)
-    denom = np.minimum.outer(grid.points, grid.points) - uv
+    denom = grid.bridge()
     psi = np.zeros((grid.m, grid.m))
     for surf in surfaces:
         delta = (surf.values - uv) / denom

@@ -46,7 +46,15 @@ class QuantileGrid:
             np.sum(values, axis=-1) * self.weight
 
     def sine_mode(self, j):
-        """j-th eigenfunction sqrt(2) sin(j pi u) of the Brownian-bridge kernel."""
-        if j < 1:
+        """Bridge eigenfunctions sqrt(2) sin(j pi u) on the grid: one vector for a
+        scalar order j, one column per order for an array of orders."""
+        j = np.asarray(j)
+        if np.any(j < 1):
             raise ParameterError(f"sine mode index must be >= 1, got {j}")
-        return np.sqrt(2.0) * np.sin(j * np.pi * self.points)
+        return np.sqrt(2.0) * np.sin(np.multiply.outer(self.points, j * np.pi))
+
+    def bridge(self):
+        """Brownian-bridge kernel I(u_i, u_j) = min(u_i, u_j) - u_i u_j on the grid;
+        every entry is at least u_1 (1 - u_m) > 0."""
+        u = self.points
+        return np.minimum.outer(u, u) - np.outer(u, u)

@@ -76,28 +76,21 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def _bridge(grid):
-    """I(u_i, u_j) = min(u_i, u_j) - u_i u_j on the grid."""
-    u = grid.points
-    return np.minimum.outer(u, u) - np.outer(u, u)
-
-
 def brownian_bridge_kernel(grid):
     """Independence kernel I(u,v) = min(u,v) - uv."""
-    return KernelMatrix(grid=grid, values=_bridge(grid))
+    return KernelMatrix(grid=grid, values=grid.bridge())
 
 
 def build_kernel_from_psi(psi):
     """H = I * (1 + Psi) from an accumulated correction surface."""
     sym_psi = 0.5 * (psi.values + psi.values.T)   # symmetric up to rounding
-    return KernelMatrix(grid=psi.grid, values=_bridge(psi.grid) * (1.0 + sym_psi))
+    return KernelMatrix(grid=psi.grid, values=psi.grid.bridge() * (1.0 + sym_psi))
 
 
-def _rank_one_kernel(params, grid, coefficient, vol_scale):
-    """I + coefficient * A A^T, with A at scale s = vol_scale or sqrt(V[omega])."""
-    s = math.sqrt(params.stationary_var) if vol_scale is None else float(vol_scale)
-    a, _ = get_basis(s).tables(grid)
-    return KernelMatrix(grid=grid, values=_bridge(grid) + coefficient * np.outer(a, a))
+def _rank_one_kernel(params, grid, coefficient):
+    """I + coefficient * A A^T, with A at the model's own scale s = sqrt(V[omega])."""
+    a, _ = get_basis(math.sqrt(params.stationary_var)).tables(grid)
+    return KernelMatrix(grid=grid, values=grid.bridge() + coefficient * np.outer(a, a))
 
 
 def ar1_psi_coefficient(params):
@@ -110,20 +103,15 @@ def ar1_psi_coefficient(params):
     return 2.0 * g * params.sigma2 / ((1.0 - g) ** 2 * (1.0 + g))
 
 
-def build_kernel_ar1(params, grid, vol_scale=None):
-    """Weak-dependence kernel H = I + [2 g Sigma^2/((1-g)^2(1+g))] A for AR(1) log-vols.
+def build_kernel_ar1(params, grid):
+    """Weak-dependence kernel H = I + [2 g Sigma^2/((1-g)^2(1+g))] A A^T for AR(1) log-vols.
 
-    Parameters
-    ----------
-    params : Ar1LogVolParams
-    grid : QuantileGrid
-    vol_scale : float, optional
-        Scale s of the basis function A.  Defaults to the model's own
-        log-vol standard deviation sqrt(Sigma^2/(1-g^2)), which makes the
-        kernel the actual first-order covariance of the generated series.
-        Pass 1.0 to evaluate A at the reference normalization instead.
+    A is tabulated at the model's own log-vol standard deviation
+    s = sqrt(Sigma^2/(1-g^2)), which makes the kernel the first-order
+    covariance of the generated series.  The same form at another scale s
+    is I + c A_s A_s^T with A_s from ``get_basis(s).tables(grid)``.
     """
-    return _rank_one_kernel(params, grid, ar1_psi_coefficient(params), vol_scale)
+    return _rank_one_kernel(params, grid, ar1_psi_coefficient(params))
 
 
 def fgn_psi_coefficient(params, n):
@@ -138,9 +126,10 @@ def fgn_psi_coefficient(params, n):
     return float(2.0 * np.sum((1.0 - t / n) * fgn_alpha(params, t)))
 
 
-def build_kernel_fgn(params, n, grid, vol_scale=None):
-    """Long-memory kernel H = I + [2 sum_t (1-t/N) alpha_t] A at sample size N."""
-    return _rank_one_kernel(params, grid, fgn_psi_coefficient(params, n), vol_scale)
+def build_kernel_fgn(params, n, grid):
+    """Long-memory kernel H = I + [2 sum_t (1-t/N) alpha_t] A A^T at sample size N,
+    A tabulated at the model's own log-vol standard deviation s = Sigma."""
+    return _rank_one_kernel(params, grid, fgn_psi_coefficient(params, n))
 
 
 def eigendecompose(kernel):
@@ -233,7 +222,7 @@ def build_kernel_pseudo_elliptical(inputs, grid):
     exact reference that the perturbative spectrum approximates.
     """
     ua, ur = _unit_modes(grid)
-    h = _bridge(grid) + inputs.alpha_bar * np.outer(ua, ua) + inputs.rho_bar * np.outer(ur, ur)
+    h = grid.bridge() + inputs.alpha_bar * np.outer(ua, ua) + inputs.rho_bar * np.outer(ur, ur)
     cross = np.outer(ur, ua)
     h = h - 0.5 * inputs.beta_bar * (cross + cross.T)
     return KernelMatrix(grid=grid, values=h)
@@ -264,9 +253,9 @@ def perturbative_spectrum(inputs, grid):
         warnings.warn("couplings exceed 0.5; perturbative accuracy is not guaranteed",
                       RuntimeWarning, stacklevel=2)
     j = np.arange(1, min(40, grid.m) + 1)
-    sines = np.sqrt(2.0) * np.sin(np.outer(grid.points, j * np.pi))
+    sines = grid.sine_mode(j)
     lam = 1.0 / (j * np.pi) ** 2
-    excess = build_kernel_pseudo_elliptical(inputs, grid).values - _bridge(grid)
+    excess = build_kernel_pseudo_elliptical(inputs, grid).values - grid.bridge()
     v = sines.T @ excess @ sines * grid.weight ** 2
     lam_pair, b = np.linalg.eigh(np.diag(lam[:2]) + v[:2, :2])
     lam_pair, b = lam_pair[::-1], b[:, ::-1]

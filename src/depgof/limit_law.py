@@ -60,12 +60,6 @@ class GofResult:
     n: int
 
 
-def kolmogorov_cdf(k):
-    """Classical limit CDF of the iid KS statistic, K(k) = 1 - 2 sum (-1)^{j-1} e^{-2 j^2 k^2}."""
-    out = 1.0 - kolmogorov(np.asarray(k, dtype=float))
-    return out if np.ndim(out) else float(out)
-
-
 def sup_distance(pvals):
     """KS distance sup_u |F_n(u) - u| between a p-value sample and the uniform law."""
     p = np.sort(np.asarray(pvals, dtype=float))
@@ -84,13 +78,6 @@ def uniformity_pvalue(pvals):
 
 def _chunk_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-def sample_limit_process(spectrum, seed):
-    """One draw of the limiting bridge on the grid: U (sqrt(lambda) z)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(spectrum.n_modes)
-    return spectrum.eigenvectors @ (np.sqrt(spectrum.eigenvalues) * z)
 
 
 def _simulate(draw, n_trials, seed, digest, m, n_threads=1):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_hermite
 
+from .copulas import CopulaSurface
 from .errors import NumericalError, ParameterError
 
 DEFAULT_QUADRATURE_NODES = 384
@@ -121,18 +122,6 @@ class LogNormalVolBasis:
             x = np.where(small | inside, np.clip(newton, lo, hi), 0.5 * (lo + hi))
         raise NumericalError(f"marginal quantile did not converge in {_NEWTON_STEPS} steps")
 
-    def _at_quantile(self, f, u):
-        vals = self._expect(f, np.atleast_1d(self.quantile(u)))
-        return vals if np.ndim(u) else float(vals[0])
-
-    def a_tilde(self, u):
-        """Odd basis function A(u) = E[phi'(F^{-1}(u) e^{-s w})]."""
-        return self._at_quantile(_dphi, u)
-
-    def r_tilde(self, u):
-        """Even basis function R(u) = E[phi(F^{-1}(u) e^{-s w})]; R(1/2) = (2 pi)^{-1/2}."""
-        return self._at_quantile(_phi, u)
-
     def _tabulate(self, grid):
         """(q, A, R) on the grid, q = F^{-1}(u_i); computed once per grid and cached."""
         key = grid.m
@@ -145,7 +134,8 @@ class LogNormalVolBasis:
         return self._grid_tables[key]
 
     def tables(self, grid):
-        """(A, R) tabulated on the grid, from the cached grid tables."""
+        """(A, R) tabulated on the grid, from the cached grid tables; on an odd
+        grid u = 1/2 is a node, where A = 0 and R = (2 pi)^{-1/2}."""
         return self._tabulate(grid)[1:]
 
     def quantiles(self, grid):
@@ -161,32 +151,13 @@ class LogNormalVolBasis:
 _BASIS_CACHE = {}
 
 
-def get_basis(s=1.0, nodes=DEFAULT_QUADRATURE_NODES):
-    """Shared basis instance for (s, nodes); the s=1 default is the reference."""
-    key = (round(float(s), 12), int(nodes))
+def get_basis(s=1.0):
+    """Shared basis at scale s with the default quadrature nodes; s=1 is the
+    reference.  Another node count needs its own LogNormalVolBasis."""
+    key = round(float(s), 12)
     if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = LogNormalVolBasis(s=s, nodes=nodes)
+        _BASIS_CACHE[key] = LogNormalVolBasis(s=s)
     return _BASIS_CACHE[key]
-
-
-def marginal_cdf(x):
-    """Reference-scale (s = 1) marginal CDF."""
-    return get_basis().cdf(x)
-
-
-def marginal_quantile(u):
-    """Reference-scale (s = 1) marginal quantile."""
-    return get_basis().quantile(u)
-
-
-def a_tilde(u):
-    """Reference-scale (s = 1) odd basis function."""
-    return get_basis().a_tilde(u)
-
-
-def r_tilde(u):
-    """Reference-scale (s = 1) even basis function."""
-    return get_basis().r_tilde(u)
 
 
 def vol_model_cdf(x, s):
@@ -221,20 +192,10 @@ class LagCoefficients:
         return max(abs(self.alpha), abs(self.beta), abs(self.rho)) > 0.3
 
 
-def copula_expansion(u, v, coeffs):
-    """Linearized copula excess C_t(u,v) - uv of lag coefficients in the s = 1 basis."""
-    basis = get_basis()
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    au, ru = basis.a_tilde(u), basis.r_tilde(u)
-    av, rv = basis.a_tilde(v), basis.r_tilde(v)
-    return coeffs.alpha * au * av - coeffs.beta * ru * av + coeffs.rho * ru * rv
-
-
 def expansion_surface(grid, coeffs, basis=None):
-    """Full grid surface uv + expansion excess, as a CopulaSurface."""
-    from .copulas import CopulaSurface
-
+    """Full grid surface uv + expansion excess, as a CopulaSurface; its values
+    minus uv are the linearized copula excess C_t(u,v) - uv, by default in the
+    s = 1 basis."""
     basis = basis or get_basis()
     a, r = basis.tables(grid)
     # B(u,v) = R(u)A(v): rows index u, columns index v

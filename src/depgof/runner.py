@@ -21,9 +21,11 @@ simulation; it does not change any result.  All stages are deterministic
 given the config and seed.
 """
 
+import io
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +38,7 @@ from .grid import QuantileGrid
 _MODELS = ("empirical", "ar1", "fgn", "iid")
 _TARGETS = ("volmodel", "gaussian")
 _PANEL_STREAM = 1   # spawn-key prefix of panel columns; law chunk j uses the key (j,)
-_WRITE_BLOCK = 8192   # law lines formatted per write
+_WRITE_BLOCK = 8192   # numbers formatted per write
 # settings each `reproduce` experiment reads its config file over
 PRESETS = {"fig2": {}, "fig3": {"n": 1500, "sigma2": 1.0}}
 
@@ -156,6 +158,12 @@ def ingest_csv(path):
     if not lines:
         raise DataError(f"{path}: empty file")
     names = [c.strip() for c in lines[0].split(",")]
+    empty = [j + 1 for j, name in enumerate(names) if not name]
+    if empty:
+        raise DataError(f"{path}: empty column name at header position(s) {empty}")
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise DataError(f"{path}: repeated column name(s) {repeated}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -193,11 +201,25 @@ def standardize(panel):
 
 # --- artifact IO -----------------------------------------------------------
 
-def write_matrix(path, kind, values, m, lag=0):
+def _write_rows(fh, values):
+    """Rows of a 2-D array as comma-separated %.17g, the bytes np.savetxt writes,
+    _WRITE_BLOCK // columns rows per string operation: a whole array at once
+    would add its text and a tuple of floats to peak memory."""
+    rows, cols = values.shape
+    step = max(1, _WRITE_BLOCK // cols)
+    line = ",".join(["%.17g"] * cols) + "\n"
+    for start in range(0, rows, step):
+        block = values[start:start + step]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_matrix(path, kind, values, lag=0):
+    """Matrix artifact: the header ``# depgof <kind> m=<M> lag=<lag>``, M the
+    column count, then one CSV row per matrix row (a 1-D array is one row)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# depgof {kind} m={m} lag={lag}\n")
-        np.savetxt(fh, values, fmt="%.17g", delimiter=",")
+        fh.write(f"# depgof {kind} m={values.shape[1]} lag={lag}\n")
+        _write_rows(fh, values)
 
 
 def _parse_header(path, header):
@@ -212,28 +234,31 @@ def _parse_header(path, header):
 
 
 def read_matrix(path):
-    """Return (kind, m, lag, values) from a matrix artifact of m columns."""
+    """Return (kind, m, lag, values) from a matrix artifact of m columns and
+    m rows (one row for eigenvalues)."""
     with open(path, encoding="utf-8") as fh:
         kind, m, lag = _parse_header(path, fh.readline().strip())
-        try:
-            values = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        text = fh.read()
+    if not text.strip():
+        raise DataError(f"{path}: no data rows")
+    try:
+        values = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if values.shape[1] != m:
         raise DataError(f"{path}: {values.shape[1]} columns, but the header says m={m}")
+    rows = 1 if kind == "eigenvalues" else m
+    if values.shape[0] != rows:
+        raise DataError(f"{path}: {values.shape[0]} rows, but a {kind} artifact "
+                        f"of m={m} has {rows}")
     return kind, m, lag, values
 
 
 def write_distribution(path, dist):
-    """One sample a line as %.17g, the bytes np.savetxt writes.
-
-    Each block of lines is formatted by one string operation; whole laws at
-    once would add their text and a tuple of floats to peak memory."""
+    """One sample a line as %.17g, the bytes np.savetxt writes."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# depgof law_{dist.kind} m={dist.grid_m} lag=0\n")
-        for start in range(0, dist.samples.size, _WRITE_BLOCK):
-            block = dist.samples[start:start + _WRITE_BLOCK].tolist()
-            fh.write(("%.17g\n" * len(block)) % tuple(block))
+        _write_rows(fh, dist.samples[:, None])
 
 
 def read_distribution(path):
@@ -293,7 +318,7 @@ def generate_panel(config, outdir=None):
     if outdir:
         with open(os.path.join(outdir, "panel.csv"), "w", encoding="utf-8") as fh:
             fh.write(",".join(panel.names) + "\n")
-            np.savetxt(fh, panel.values, fmt="%.17g", delimiter=",")
+            _write_rows(fh, panel.values)
     return panel
 
 
@@ -313,11 +338,10 @@ def estimate_psi(panel, config, outdir=None):
         surfaces.append(surf)
         if outdir and (t in ladder or t == t_max):
             write_matrix(os.path.join(outdir, f"copula_t{t}.csv"),
-                         "copula", surf.values, grid.m, lag=t)
+                         "copula", surf.values, lag=t)
     psi = copulas.psi_accumulate(surfaces, panel.n)
     if outdir:
-        write_matrix(os.path.join(outdir, "psi.csv"), "psi", psi.values, grid.m,
-                     lag=psi.t_max)
+        write_matrix(os.path.join(outdir, "psi.csv"), "psi", psi.values, lag=psi.t_max)
     return psi
 
 
@@ -335,7 +359,7 @@ def build_kernel(config, n, psi=None, outdir=None):
     else:
         kernel = kernels.build_kernel_fgn(_model(config)[0], n, grid)
     if outdir:
-        write_matrix(os.path.join(outdir, "kernel.csv"), "kernel", kernel.values, grid.m)
+        write_matrix(os.path.join(outdir, "kernel.csv"), "kernel", kernel.values)
     return kernel
 
 
@@ -343,11 +367,10 @@ def diagonalize(kernel, outdir=None):
     """Spectrum of the kernel; writes spectrum_eigvals.csv and spectrum_eigvecs.csv."""
     spectrum = kernels.eigendecompose(kernel)
     if outdir:
-        m = spectrum.grid.m
         write_matrix(os.path.join(outdir, "spectrum_eigvals.csv"), "eigenvalues",
-                     spectrum.eigenvalues[None, :], m)
+                     spectrum.eigenvalues)
         write_matrix(os.path.join(outdir, "spectrum_eigvecs.csv"), "eigenvectors",
-                     spectrum.eigenvectors, m)
+                     spectrum.eigenvectors)
     return spectrum
 
 
@@ -460,7 +483,7 @@ def reproduce(which, config):
     ])
     with open(os.path.join(outdir, "reduction_ratios.csv"), "w", encoding="utf-8") as fh:
         fh.write("level,ratio_ks,ratio_cm\n")
-        np.savetxt(fh, ratios, fmt="%.17g", delimiter=",")
+        _write_rows(fh, ratios)
 
     summary = {"experiment": which, "model": config.model,
                "replications": config.replications, "n": config.n}

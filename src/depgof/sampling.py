@@ -92,13 +92,13 @@ class StochasticVolParams:
         return self.s * self.s
 
 
-def as_series(values, min_len=2):
-    """Validate and return a 1-D float array of observations."""
+def as_series(values):
+    """Validate and return a 1-D float array of at least 2 observations."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ParameterError(f"series must be 1-D, got shape {x.shape}")
-    if x.size < min_len:
-        raise ParameterError(f"series needs at least {min_len} observations, got {x.size}")
+    if x.size < 2:
+        raise ParameterError(f"series needs at least 2 observations, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ParameterError("series contains non-finite values")
     return x

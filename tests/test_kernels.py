@@ -50,6 +50,25 @@ def _bridge_values(grid):
     return np.minimum.outer(u, u) - np.outer(u, u)
 
 
+def _reference_scale_ar1_kernel(grid):
+    """I + c A_1 A_1^T: the AR(1) kernel's form with A at the reference scale s = 1."""
+    a, _ = get_basis(1.0).tables(grid)
+    return grid.bridge() + ar1_psi_coefficient(AR1) * np.outer(a, a)
+
+
+def test_bridge_and_sine_modes_of_the_grid(grid):
+    assert np.array_equal(grid.bridge(), _bridge_values(grid))
+    j = np.array([1, 2, 7])
+    modes = grid.sine_mode(j)
+    assert modes.shape == (grid.m, 3)
+    for col, order in enumerate(j):
+        assert np.array_equal(modes[:, col], grid.sine_mode(int(order)))
+    assert_allclose(grid.sine_mode(3), math.sqrt(2) * np.sin(3 * math.pi * grid.points),
+                    atol=1e-15)
+    with pytest.raises(ParameterError):
+        grid.sine_mode(np.array([2, 0]))
+
+
 def test_kernel_from_zero_psi_is_bridge(grid):
     psi = PsiSurface(grid=grid, values=np.zeros((100, 100)), t_max=1)
     k = build_kernel_from_psi(psi)
@@ -72,8 +91,8 @@ def test_ar1_kernel_limits_and_traces(grid):
     assert_allclose(ar1_psi_coefficient(AR1), 3.2506, atol=1e-4)
     no_mem = build_kernel_ar1(Ar1LogVolParams(g=0.0, sigma2=0.3), grid)
     assert_allclose(no_mem.values, _bridge_values(grid), atol=1e-15)
-    unit = build_kernel_ar1(AR1, grid, vol_scale=1.0)
-    assert_allclose(np.trace(unit.values) * grid.weight, 1 / 6 + 3.2506 * 0.011761,
+    unit = _reference_scale_ar1_kernel(grid)
+    assert_allclose(np.trace(unit) * grid.weight, 1 / 6 + 3.2506 * 0.011761,
                     atol=1e-3)
     model = build_kernel_ar1(AR1, grid)
     assert_allclose(np.trace(model.values) * grid.weight, 0.23767, atol=1e-3)
@@ -105,7 +124,7 @@ def test_ar1_kernel_matches_exact_copula_quadrature():
     oracle = _bridge_values(grid) + acc
 
     model = build_kernel_ar1(AR1, grid).values
-    unit = build_kernel_ar1(AR1, grid, vol_scale=1.0).values
+    unit = _reference_scale_ar1_kernel(grid)
     assert np.abs(model - oracle).max() < 0.008
     # the reference-scale variant misses the model kernel by much more
     assert np.abs(unit - oracle).max() > 0.02
@@ -119,8 +138,8 @@ def test_psi_accumulation_reproduces_ar1_kernel(grid, basis):
             grid, LagCoefficients(t=t, alpha=alpha_t, beta=0.0, rho=0.0), basis=basis))
     psi = psi_accumulate(surfaces, n=10 ** 9)
     k_psi = build_kernel_from_psi(psi)
-    k_direct = build_kernel_ar1(AR1, grid, vol_scale=1.0)
-    assert np.abs(k_psi.values - k_direct.values).max() < 1e-6
+    k_direct = _reference_scale_ar1_kernel(grid)
+    assert np.abs(k_psi.values - k_direct).max() < 1e-6
 
 
 def test_fgn_kernel(grid):

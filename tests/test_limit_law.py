@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import erf
 from scipy.stats import kstest, norm
 
 from depgof import (
@@ -21,11 +22,9 @@ from depgof import (
     dominant_mode_cdf,
     eigendecompose,
     gen_ar1_logvol,
-    kolmogorov_cdf,
     p_value,
     reduction_ratio,
     run_gof_test,
-    sample_limit_process,
     simulate_iid_statistic_distribution,
     simulate_statistic_distribution,
     uniformity_pvalue,
@@ -41,34 +40,38 @@ def _dist(kind, samples, m=100):
     return StatisticDistribution(kind=kind, samples=samples, spectrum_digest="test", grid_m=m)
 
 
-def test_kolmogorov_cdf_values():
-    assert_allclose(kolmogorov_cdf(0.5), 0.03605, atol=5e-5)
-    assert_allclose(kolmogorov_cdf(np.array([0.5, 1.358])),
-                    kolmogorov_series(np.array([0.5, 1.358])), atol=1e-12)
-    assert kolmogorov_cdf(0.0) == 0.0
-
-
-def test_sample_limit_process_moments():
+def test_simulated_law_moments():
+    # eigenvectors on the coordinate axes make the bridge coordinates independent
+    # N(0, (m+1) lam_i): CM = sum_i lam_i z_i^2 has mean sum lam and variance
+    # 2 sum lam^2, and KS = max |y_i| has the CDF prod_i erf(k / sqrt(2 (m+1) lam_i))
     grid = QuantileGrid(20)
-    spec = eigendecompose(build_kernel_ar1(Ar1LogVolParams(0.6, 0.1), grid))
-    draws = np.stack([sample_limit_process(spec, seed) for seed in range(30_000)])
-    cov = np.cov(draws.T, bias=True)
-    h = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
-    # entrywise 4-sigma band for a Gaussian sample covariance
-    se = np.sqrt((np.outer(np.diag(h), np.diag(h)) + h ** 2) / draws.shape[0])
-    assert np.all(np.abs(cov - h) < 4.5 * se)
-    mean_se = np.sqrt(np.diag(h) / draws.shape[0])
-    assert np.all(np.abs(draws.mean(axis=0)) < 4.5 * mean_se)
+    lam = 0.05 / np.arange(1, 21) ** 2
+    spec = Spectrum(grid=grid, eigenvalues=lam, eigenvectors=np.eye(20) * math.sqrt(21),
+                    digest="axes")
+    ks, cm = simulate_statistic_distribution(spec, 30_000, seed=5)
+    x = cm.samples
+    assert abs(x.mean() - lam.sum()) < 4.5 * math.sqrt(2 * np.sum(lam ** 2) / x.size)
+    se_var = np.sqrt(np.var((x - x.mean()) ** 2) / x.size)
+    assert abs(x.var(ddof=1) - 2 * np.sum(lam ** 2)) < 4.5 * se_var
+    sd = np.sqrt(21 * lam)
+
+    def ks_cdf(k):
+        return np.prod(erf(np.asarray(k)[..., None] / (math.sqrt(2) * sd)), axis=-1)
+
+    assert kstest(ks.samples, ks_cdf).pvalue > 1e-3
 
 
 def test_single_mode_draws_are_proportional_to_eigenvector():
+    # every draw is sqrt(lam) z U: KS^2 / CM = max U^2 / <U, U> in each trial,
+    # and both laws are sorted by |z|
     grid = QuantileGrid(15)
     vec = grid.sine_mode(1)[:, None]
     spec = Spectrum(grid=grid, eigenvalues=np.array([0.2]), eigenvectors=vec,
                     digest="rank1")
-    y = sample_limit_process(spec, seed=3)
-    ratio = y / vec[:, 0]
-    assert np.abs(ratio - ratio[0]).max() < 1e-12
+    ks, cm = simulate_statistic_distribution(spec, 10_000, seed=3)
+    ratio = ks.samples ** 2 / cm.samples
+    expected = np.max(vec ** 2) / grid.integrate(vec[:, 0] ** 2)
+    assert np.abs(ratio / expected - 1.0).max() < 1e-12
 
 
 def test_simulate_warns_on_few_trials(grid):

@@ -15,60 +15,60 @@ from depgof import (
     ParameterError,
     QuantileGrid,
     StochasticVolParams,
-    a_tilde,
     average_self_copula,
-    copula_expansion,
     expansion_surface,
     fit_lag_coefficients,
     fit_multifractal,
     gen_ar1_logvol,
     gen_iid_lognormal_vol,
     get_basis,
-    marginal_cdf,
-    marginal_quantile,
-    r_tilde,
     vol_model_cdf,
     vol_model_quantiles,
 )
 from depgof import lognormal
 
 
-def test_marginal_cdf_symmetry_and_limits():
+# a grid of the levels 0.1, ..., 0.9: u = 1/2 is its node 4
+NINE = QuantileGrid(9)
+
+
+def test_marginal_cdf_symmetry_and_limits(basis):
     x = np.linspace(-8, 8, 41)
-    f = marginal_cdf(x)
-    assert_allclose(f + marginal_cdf(-x), 1.0, atol=1e-13)
-    assert marginal_cdf(0.0) == pytest.approx(0.5, abs=1e-14)
+    f = basis.cdf(x)
+    assert_allclose(f + basis.cdf(-x), 1.0, atol=1e-13)
+    assert basis.cdf(0.0) == pytest.approx(0.5, abs=1e-14)
     assert np.all(np.diff(f) > 0)
-    assert marginal_cdf(60.0) > 1 - 1e-4
+    assert basis.cdf(60.0) > 1 - 1e-4
 
 
-def test_marginal_cdf_against_direct_simulation():
+def test_marginal_cdf_against_direct_simulation(basis):
     rng = np.random.default_rng(13)
     draws = rng.standard_normal(2_000_000) * np.exp(rng.standard_normal(2_000_000))
     hits = draws <= 1.0
     se = hits.std(ddof=1) / math.sqrt(hits.size)
-    assert abs(marginal_cdf(1.0) - hits.mean()) < 3 * se
+    assert abs(basis.cdf(1.0) - hits.mean()) < 3 * se
 
 
-def test_marginal_quantile_roundtrip():
-    assert marginal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+def test_marginal_quantile_roundtrip(basis):
+    assert basis.quantile(0.5) == pytest.approx(0.0, abs=1e-12)
     for u in (0.01, 0.3, 0.77, 0.99):
-        assert abs(marginal_cdf(marginal_quantile(u)) - u) < 1e-10
-        assert_allclose(marginal_quantile(u), -marginal_quantile(1 - u), atol=1e-10)
+        assert abs(basis.cdf(basis.quantile(u)) - u) < 1e-10
+        assert_allclose(basis.quantile(u), -basis.quantile(1 - u), atol=1e-10)
     with pytest.raises(ParameterError):
-        marginal_quantile(0.0)
+        basis.quantile(0.0)
     with pytest.raises(ParameterError):
-        marginal_quantile(1.5)
+        basis.quantile(1.5)
 
 
 def test_basis_symmetries(grid, basis):
     a, r = basis.tables(grid)
     assert_allclose(a, -a[::-1], atol=1e-12)
     assert_allclose(r, r[::-1], atol=1e-12)
-    assert a_tilde(0.5) == pytest.approx(0.0, abs=1e-13)
-    assert_allclose(r_tilde(0.5), 1.0 / math.sqrt(2 * math.pi), atol=1e-9)
+    a9, r9 = basis.tables(NINE)
+    assert a9[4] == pytest.approx(0.0, abs=1e-13)
+    assert_allclose(r9[4], 1.0 / math.sqrt(2 * math.pi), atol=1e-9)
     # median consistency of the expansion with the exact arcsin relation
-    assert_allclose(r_tilde(0.5) ** 2, 1.0 / (2 * math.pi), atol=1e-6)
+    assert_allclose(r9[4] ** 2, 1.0 / (2 * math.pi), atol=1e-6)
 
 
 def test_trace_table(grid, basis):
@@ -104,29 +104,37 @@ def test_quadrature_doubling_gate(grid):
     assert np.abs(r1 - r2).max() < 1e-9
 
 
+def _excess(coeffs):
+    """Copula excess C_t(u,v) - uv of the expansion on the nine-level grid."""
+    surface = expansion_surface(NINE, coeffs)
+    return surface.values - np.outer(NINE.points, NINE.points)
+
+
 def test_copula_expansion_values(basis):
+    a, r = basis.tables(NINE)
+
+    def node(level):
+        return round(10 * level) - 1
+
     zero = LagCoefficients(t=1, alpha=0.0, beta=0.0, rho=0.0)
-    assert copula_expansion(0.3, 0.8, zero) == 0.0
+    assert _excess(zero)[node(0.3), node(0.8)] == 0.0
     alpha_only = LagCoefficients(t=1, alpha=0.1, beta=0.0, rho=0.0)
-    assert_allclose(copula_expansion(0.9, 0.9, alpha_only),
-                    0.1 * basis.a_tilde(0.9) ** 2, rtol=1e-12)
+    assert_allclose(_excess(alpha_only)[node(0.9), node(0.9)], 0.1 * a[node(0.9)] ** 2,
+                    rtol=1e-12)
     beta_only = LagCoefficients(t=1, alpha=0.0, beta=0.04, rho=0.0)
-    u, v = 0.2, 0.7
-    asym = copula_expansion(u, v, beta_only) - copula_expansion(v, u, beta_only)
-    expected = -0.04 * (basis.r_tilde(u) * basis.a_tilde(v)
-                        - basis.r_tilde(v) * basis.a_tilde(u))
-    assert_allclose(asym, expected, rtol=1e-12)
+    u, v = node(0.2), node(0.7)
+    excess = _excess(beta_only)
+    expected = -0.04 * (r[u] * a[v] - r[v] * a[u])
+    assert_allclose(excess[u, v] - excess[v, u], expected, rtol=1e-12)
     # diagonal of the leverage term
-    assert_allclose(copula_expansion(0.2, 0.2, beta_only),
-                    -0.04 * basis.r_tilde(0.2) * basis.a_tilde(0.2), rtol=1e-12)
+    assert_allclose(excess[u, u], -0.04 * r[u] * a[u], rtol=1e-12)
 
 
-def test_expansion_median_matches_blomqvist_relation(basis):
+def test_expansion_median_matches_blomqvist_relation():
     # at the median the expansion reduces to rho R(1/2)^2 = rho/(2 pi), the
     # linearization of the exact arcsin(rho)/(2 pi) relation
     rho_only = LagCoefficients(t=1, alpha=0.0, beta=0.0, rho=0.3)
-    val = copula_expansion(0.5, 0.5, rho_only)
-    assert_allclose(val, 0.3 / (2 * math.pi), atol=1e-6)
+    assert_allclose(_excess(rho_only)[4, 4], 0.3 / (2 * math.pi), atol=1e-6)
 
 
 def test_weak_regime_flag():

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from depgof import (
 from depgof.cli import main
 from depgof.limit_law import _chunk_rng
 from depgof.runner import (
+    _write_rows,
     estimate_psi,
     generate_panel,
     read_distribution,
@@ -62,6 +64,24 @@ def test_ingest_header_only(tmp_path):
     with pytest.raises(DataError) as err:
         ingest_csv(path)
     assert "fewer than 2 data rows" in str(err.value)
+
+
+def test_ingest_refuses_empty_and_repeated_names(tmp_path, capsys):
+    for name, header, offending in (("empty.csv", "a,,b", "[2]"),
+                                    ("blank.csv", "a, ,b", "[2]"),
+                                    ("twice.csv", "a,b,a,c,b", "['a', 'b']")):
+        path = _write(tmp_path, name, header + "\n" + "1,2,3,4,5\n" * 40)
+        with pytest.raises(DataError) as err:
+            ingest_csv(path)
+        assert name in str(err.value) and offending in str(err.value)
+    rng = np.random.default_rng(3)
+    rows = ["x,,z"] + [",".join(f"{v:.10g}" for v in r) for r in rng.standard_normal((300, 3))]
+    data = _write(tmp_path, "named.csv", "\n".join(rows) + "\n")
+    cfg = _write(tmp_path, "named.cfg", f"model=empirical\ninput={data}\nt_max=2\n"
+                 f"grid_m=10\nn_trials=1000\ntarget=gaussian\noutdir={tmp_path}/o\n")
+    assert main(["pipeline", "-c", cfg]) == 3
+    assert "named.csv" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.jsonl").exists()
 
 
 def test_ingest_ragged_and_missing(tmp_path):
@@ -127,7 +147,7 @@ def test_matrix_artifact_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.standard_normal((17, 17))
     path = str(tmp_path / "m.csv")
-    write_matrix(path, "copula", values, m=17, lag=3)
+    write_matrix(path, "copula", values, lag=3)
     kind, m, lag, loaded = read_matrix(path)
     assert (kind, m, lag) == ("copula", 17, 3)
     assert np.array_equal(values, loaded)   # %.17g round-trips float64 exactly
@@ -151,9 +171,9 @@ def test_distribution_artifact_bytes_match_savetxt(tmp_path):
     from depgof import StatisticDistribution
 
     rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 1.0, 2.0, 7.0, -3.0, 1e-300, 5e-324, 2.2e-310, -1e-310, 1e300, 0.1]
     samples = np.sort(np.concatenate([
-        [0.0, -0.0, 1.0, 2.0, 7.0, -3.0, 1e-300, 5e-324, 2.2e-310, -1e-310, 1e300, 0.1],
-        rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)]))
+        special, rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)]))
     dist = StatisticDistribution(kind="ks", samples=samples, spectrum_digest="x", grid_m=30)
     path = tmp_path / "law.csv"
     write_distribution(str(path), dist)
@@ -161,6 +181,15 @@ def test_distribution_artifact_bytes_match_savetxt(tmp_path):
     expected.write("# depgof law_ks m=30 lag=0\n")
     np.savetxt(expected, samples, fmt="%.17g")
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    # the same row writer serves panels, kernels and eigenvalue rows
+    for shape in ((300, 50), (100, 100), (1, 100)):   # 300 x 50 spans two blocks
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        values.flat[:len(special)] = special
+        got, expected = io.StringIO(), io.StringIO()
+        _write_rows(got, values)
+        np.savetxt(expected, values, fmt="%.17g", delimiter=",")
+        assert got.getvalue() == expected.getvalue(), shape
 
 
 @pytest.mark.filterwarnings("ignore:loadtxt")   # numpy warns before the empty law is refused
@@ -171,6 +200,11 @@ def test_bad_artifact_header(tmp_path):
         (read_matrix, "# depgof kernel size=2 lag=0\n1,2\n2,1\n"),
         (read_matrix, "# depgof kernel m=2 lag=0\n1,2\n2\n"),            # ragged rows
         (read_matrix, "# depgof kernel m=3 lag=0\n1,2\n2,1\n"),          # m disagrees
+        (read_matrix, "# depgof kernel m=2 lag=0\n1,2\n"),               # missing row
+        (read_matrix, "# depgof kernel m=2 lag=0\n1,2\n2,1\n3,3\n"),     # extra row
+        (read_matrix, "# depgof eigenvalues m=2 lag=0\n1,2\n2,1\n"),    # one row expected
+        (read_matrix, "# depgof kernel m=2 lag=0\n"),                     # header only
+        (read_matrix, "# depgof kernel m=2 lag=0\n\n\n"),                 # blank lines only
         (read_distribution, "# depgof law_ks m=20 lag=0\n0.5\nabc\n"),
         (read_distribution, "# depgof law_cm m=20 lag=0\n"),               # empty law
         (read_distribution, "# depgof law_cm m=20 lag=0\n0.1\nnan\n"),
@@ -269,9 +303,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a kernel whose header disagrees with its 20 x 20 values is a data error
     cfg_law = _write(tmp_path, "law.cfg", f"model=iid\ngrid_m=20\noutdir={tmp_path}/k\n")
     os.makedirs(tmp_path / "k")
-    write_matrix(str(tmp_path / "k" / "kernel.csv"), "kernel", np.eye(20), m=21)
+    kernel_csv = tmp_path / "k" / "kernel.csv"
+    write_matrix(str(kernel_csv), "kernel", np.eye(20))
+    kernel_csv.write_text(kernel_csv.read_text().replace("m=20", "m=21", 1))
     assert main(["law", "-c", cfg_law, "--seed", "1"]) == 3
     assert "kernel.csv" in capsys.readouterr().err
+
+    # so is a truncated kernel: half its rows, or none
+    cfg_ten = _write(tmp_path, "ten.cfg", f"model=iid\ngrid_m=10\noutdir={tmp_path}/t\n")
+    os.makedirs(tmp_path / "t")
+    kernel_ten = tmp_path / "t" / "kernel.csv"
+    write_matrix(str(kernel_ten), "kernel", np.eye(10))
+    rows = kernel_ten.read_text().splitlines(keepends=True)
+    for kept in (rows[:6], rows[:1]):
+        kernel_ten.write_text("".join(kept))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["law", "-c", cfg_ten, "--seed", "1"]) == 3
+        assert "kernel.csv" in capsys.readouterr().err
+
+    # and a Psi surface with 4 of its 10 rows
+    cfg_psi = _write(tmp_path, "psi.cfg", f"model=empirical\ngrid_m=10\noutdir={tmp_path}/e\n")
+    os.makedirs(tmp_path / "e")
+    psi_csv = tmp_path / "e" / "psi.csv"
+    write_matrix(str(psi_csv), "psi", np.zeros((10, 10)), lag=3)
+    psi_csv.write_text("".join(psi_csv.read_text().splitlines(keepends=True)[:5]))
+    assert main(["kernel", "-c", cfg_psi]) == 3
+    assert "psi.csv" in capsys.readouterr().err
 
     # swapped law files are a data error that names the file, not a config error
     cfg_swap = _write(tmp_path, "swap.cfg", "model=iid\nn=300\nreplications=3\ngrid_m=20\n"
