@@ -51,6 +51,15 @@ def _artifact(config, name, verb):
     return path
 
 
+def _matrix(config, name, verb, kind):
+    """(path, m, lag, values) of a matrix artifact whose header kind must be ``kind``."""
+    path = _artifact(config, name, verb)
+    found, m, lag, values = runner.read_matrix(path)
+    if found != kind:
+        raise DataError(f"{path} holds a {found} artifact, not a {kind}")
+    return path, m, lag, values
+
+
 def cmd_generate(args):
     config = _load(args)
     panel = runner.generate_panel(config, outdir=config.outdir)
@@ -67,7 +76,7 @@ def cmd_kernel(args):
     config = _load(args)
     psi = None
     if config.model == "empirical":
-        _, m, lag, values = runner.read_matrix(_artifact(config, "psi.csv", "estimate"))
+        _, m, lag, values = _matrix(config, "psi.csv", "estimate", "psi")
         psi = PsiSurface(grid=QuantileGrid(m), values=values, t_max=lag)
     runner.build_kernel(config, config.n, psi=psi, outdir=config.outdir)
     print(f"wrote {config.outdir}/kernel.csv")
@@ -75,8 +84,11 @@ def cmd_kernel(args):
 
 def cmd_law(args):
     config = _load(args)
-    _, m, _, values = runner.read_matrix(_artifact(config, "kernel.csv", "kernel"))
-    kernel = kernels.KernelMatrix(grid=QuantileGrid(m), values=values)
+    path, m, _, values = _matrix(config, "kernel.csv", "kernel", "kernel")
+    try:
+        kernel = kernels.KernelMatrix(grid=QuantileGrid(m), values=values)
+    except ParameterError as exc:
+        raise DataError(f"{path}: {exc}") from None
     spectrum = runner.diagonalize(kernel, outdir=config.outdir)
     runner.simulate_laws(spectrum, config, config.seed, outdir=config.outdir)
     print(f"wrote {config.outdir}/law_ks.csv and law_cm.csv ({config.n_trials} trials)")

@@ -10,8 +10,9 @@ sqrt(2) sin(j pi u)) and Psi the lag-summed copula excess.  This module
 builds H from an estimated Psi or from model parameters, solves the
 discretized Mercer eigenproblem, and provides the analytic machinery for
 weakly dependent pseudo-elliptical models: a second-order spectrum by
-matrix perturbation theory on the kernel's excess over the bridge, and a
-closed-form correction of the Cramer-von Mises density.
+matrix perturbation theory on the kernel's excess over the bridge, and the
+exact Cramer-von Mises density of a spectrum, by inverting its
+characteristic function.
 
 Kernel construction and eigendecomposition are single-threaded per
 kernel; distinct kernels can be processed concurrently.  Spectrum objects
@@ -24,8 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import ive
 
 from .errors import NumericalError, ParameterError
 from .grid import QuantileGrid
@@ -300,54 +299,30 @@ def _cm_density(lam):
     return kg, np.clip(h / np.pi * np.fft.fft(phi).real[:kg.size], 0.0, None)
 
 
-def _iid_cm_density(m):
-    """Baseline (kg, density, lambda) of the m-point independence spectrum."""
-    lam = eigendecompose(brownian_bridge_kernel(QuantileGrid(m))).eigenvalues
-    return (*_cm_density(lam), lam)
-
-
 def _cm_corrected_density_grid(alpha_bar):
+    """Exact CM density of the default grid's bridge spectrum with lambda_2
+    lifted to mu = lambda_2 + alpha_bar <u_A, sin 2>^2."""
     grid = QuantileGrid()
-    kg, p_i, lam = _iid_cm_density(grid.m)
-    if alpha_bar == 0.0:
-        return kg, p_i
-    ua, _ = _unit_modes(grid)
-    a2sq = grid.integrate(ua * grid.sine_mode(2)) ** 2
+    lam = eigendecompose(brownian_bridge_kernel(grid)).eigenvalues
     lam2 = lam[1]
-    mu = lam2 + alpha_bar * a2sq
     if alpha_bar < 0 or alpha_bar > 0.5 * lam2:
         warnings.warn(
             f"alpha_bar={alpha_bar:.4g} is not small against lambda_2={lam2:.4g}; "
             "the single-mode correction degrades", RuntimeWarning, stacklevel=3)
-    # exact one-mode correction: the corrected law replaces lambda_2 by mu, and
-    # phi_c(t) = sqrt((1 - 2 i t lam2)/(1 - 2 i t mu)) inverts to
-    # sqrt(lam2/mu) delta(k) + integral_{lam2}^{mu} dl e^{-(l+mu)k/(4 l mu)} *
-    #   [(l+mu) I0(c k) - (mu-l) I1(c k)] / (8 (l mu)^{3/2}),  c = (mu-l)/(4 l mu)
-    tl, wl = leggauss(48)
-    nodes = lam2 + (mu - lam2) * 0.5 * (tl + 1.0)
-    wts = wl * 0.5 * (mu - lam2)
-    corr = np.zeros_like(kg)
-    for lam_n, w_n in zip(nodes, wts):
-        b = (lam_n + mu) / (4.0 * lam_n * mu)
-        c = (mu - lam_n) / (4.0 * lam_n * mu)
-        damp = np.exp((c - b) * kg)   # e^{-b k} I_n(c k) = ive(n, c k) e^{(c-b) k}
-        corr += w_n * damp * ((lam_n + mu) * ive(0, c * kg)
-                              - (mu - lam_n) * ive(1, c * kg)) / (8.0 * (lam_n * mu) ** 1.5)
-    corr_w = corr.copy()
-    corr_w[0] *= 0.5   # trapezoid end cell of the convolution integral
-    dens = math.sqrt(lam2 / mu) * p_i + np.convolve(p_i, corr_w)[:kg.size] * _CM_GRID_STEP
-    return kg, dens
+    ua, _ = _unit_modes(grid)
+    lam[1] += alpha_bar * grid.integrate(ua * grid.sine_mode(2)) ** 2
+    return _cm_density(lam)
 
 
 def cm_density_correction(k, alpha_bar):
     """Density of the CM law when the second bridge mode is lifted by alpha_bar a2^2.
 
     a2 is the overlap of the s = 1 A mode with sin(2 pi u) on the default
-    100-point grid.  The Bessel-form correction is convolved with the exact
-    baseline density of that grid's bridge spectrum, obtained by inverting
-    its characteristic function, so the result is deterministic.  Valid for
-    alpha_bar small against lambda_2 = 1/(4 pi^2); at alpha_bar = 0 it
-    returns the baseline density exactly.
+    100-point grid.  The density is the exact inverse of the characteristic
+    function of that grid's bridge spectrum with lambda_2 replaced by
+    lambda_2 + alpha_bar a2^2, so the result is deterministic.  The
+    single-mode lift models alpha_bar small against lambda_2 = 1/(4 pi^2);
+    at alpha_bar = 0 it is the baseline density.
     """
     kg, dens = _cm_corrected_density_grid(alpha_bar)
     k = np.asarray(k, dtype=float)
@@ -359,7 +334,7 @@ def cm_density_correction(k, alpha_bar):
 
 def cm_corrected_cdf(k, alpha_bar):
     """CDF companion of cm_density_correction: cumulative trapezoid of the same
-    deterministic density (exact baseline plus Bessel-form correction)."""
+    deterministic density."""
     kg, dens = _cm_corrected_density_grid(alpha_bar)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(kg))])
     k = np.asarray(k, dtype=float)

@@ -118,17 +118,16 @@ def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
     return _simulate(draw, n_trials, seed, spectrum.digest, spectrum.grid.m, n_threads)
 
 
-def simulate_iid_statistic_distribution(m, n_trials, seed, refine=True):
+def simulate_iid_statistic_distribution(m, n_trials, seed):
     """KS and CM laws under independence, by direct bridge simulation.
 
-    The bridge is built from Gaussian increments (exact at the grid).  With
-    ``refine`` the supremum is completed to the continuum: conditional on
-    its endpoints each grid interval is a Brownian bridge whose running
-    max has the closed-form tail exp(-2(h-a)(h-b)/dt), sampled by
-    inversion (and the min by symmetry), so the refined KS statistic is a
-    draw of the true sup over [0,1] rather than over the grid.  The CM
-    statistic stays a grid quadrature.  With ``refine`` off, the law
-    matches simulate_statistic_distribution on the bridge spectrum.
+    The bridge is built from Gaussian increments (exact at the grid), and
+    its supremum is completed to the continuum: conditional on its
+    endpoints each grid interval is a Brownian bridge whose running max
+    has the closed-form tail exp(-2(h-a)(h-b)/dt), sampled by inversion
+    (and the min by symmetry), so the KS statistic is a draw of the true
+    sup over [0,1] rather than over the grid.  The CM statistic stays a
+    grid quadrature.
     """
     g = QuantileGrid(m)
     w = g.weight
@@ -137,19 +136,15 @@ def simulate_iid_statistic_distribution(m, n_trials, seed, refine=True):
         walk = np.cumsum(rng.standard_normal((b, m + 1)) * math.sqrt(w), axis=1)
         y = np.zeros((b, m + 2))
         y[:, 1:m + 1] = walk[:, :m] - np.outer(walk[:, m], g.points)
+        a = y[:, :-1]
+        c = y[:, 1:]
+        gap2 = (c - a) ** 2
+        hi = 0.5 * ((a + c) + np.sqrt(gap2 - 2.0 * w * np.log(rng.random((b, m + 1)))))
+        lo = 0.5 * ((a + c) - np.sqrt(gap2 - 2.0 * w * np.log(rng.random((b, m + 1)))))
         inner = y[:, 1:m + 1]
-        if refine:
-            a = y[:, :-1]
-            c = y[:, 1:]
-            gap2 = (c - a) ** 2
-            hi = 0.5 * ((a + c) + np.sqrt(gap2 - 2.0 * w * np.log(rng.random((b, m + 1)))))
-            lo = 0.5 * ((a + c) - np.sqrt(gap2 - 2.0 * w * np.log(rng.random((b, m + 1)))))
-            ks = np.maximum(hi, -lo).max(axis=1)
-        else:
-            ks = np.abs(inner).max(axis=1)
-        return ks, np.einsum("ij,ij->i", inner, inner) * w
+        return np.maximum(hi, -lo).max(axis=1), np.einsum("ij,ij->i", inner, inner) * w
 
-    return _simulate(draw, n_trials, seed, f"bridge:iid:m={m}:refined={refine}", m)
+    return _simulate(draw, n_trials, seed, f"bridge:iid:m={m}", m)
 
 
 def p_value(stat, dist):

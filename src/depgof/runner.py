@@ -266,6 +266,10 @@ def read_distribution(path):
         kind, m, _ = _parse_header(path, fh.readline().strip())
         if not kind.startswith("law_"):
             raise DataError(f"{path}: not a statistic-distribution artifact ({kind})")
+        start = fh.tell()
+        if not any(line.strip() for line in fh):
+            raise DataError(f"{path}: no data rows")
+        fh.seek(start)
         try:
             return limit_law.StatisticDistribution(
                 kind=kind[4:], samples=np.sort(np.loadtxt(fh, ndmin=1)),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 from scipy.special import ndtr, roots_hermite
 
@@ -25,6 +24,7 @@ from depgof import (
     build_kernel_fgn,
     build_kernel_from_psi,
     build_kernel_pseudo_elliptical,
+    cm_corrected_cdf,
     cm_density_correction,
     cm_moments,
     eigendecompose,
@@ -34,8 +34,6 @@ from depgof import (
     psi_accumulate,
 )
 from depgof.kernels import (
-    _cm_density,
-    _iid_cm_density,
     ar1_psi_coefficient,
     fgn_psi_coefficient,
 )
@@ -342,21 +340,20 @@ def test_cm_density_normalization():
 
 
 def test_cm_density_correction_matches_exact_inverse(grid, basis):
-    kg, base, lam = _iid_cm_density(grid.m)
-    # baseline against independent references: mass, mean Tr I, omega^2 series
-    assert abs(np.trapezoid(base, kg) - 1.0) < 1e-9
-    assert abs(np.trapezoid(kg * base, kg) - lam.sum()) < 1e-8
+    kg = np.arange(0.0, 5.0 + 5e-4, 1e-3)
     kk = np.linspace(0.05, 2.0, 200)
-    cdf = np.interp(kk, kg, cumulative_trapezoid(base, kg, initial=0.0))
-    assert np.abs(cdf - cramer_von_mises_series(kk)).max() < 1e-3
-    # Bessel-form correction against the exact law with lambda_2 lifted to mu
-    alpha_bar = 0.005
+    assert np.abs(cm_corrected_cdf(kk, 0.0) - cramer_von_mises_series(kk)).max() < 1e-3
+    # the corrected law is the bridge spectrum with lambda_2 lifted by alpha_bar a2^2:
+    # its mass, mean and variance are those of the lifted spectrum
+    lam = eigendecompose(brownian_bridge_kernel(grid)).eigenvalues
     a, _ = basis.tables(grid)
-    a2 = grid.integrate(a * grid.sine_mode(2)) / math.sqrt(grid.integrate(a * a))
-    lifted = lam.copy()
-    lifted[1] += alpha_bar * a2 ** 2
-    _, exact = _cm_density(lifted)
-    dens = cm_density_correction(kg, alpha_bar)
-    assert np.abs(dens - exact).max() < 1e-4
-    gap = cumulative_trapezoid(dens - exact, kg, initial=0.0)
-    assert np.abs(gap).max() < 1e-5
+    a2sq = grid.integrate(a * grid.sine_mode(2)) ** 2 / grid.integrate(a * a)
+    for alpha_bar in (0.0, 0.001, 0.005, 0.01):
+        lifted = lam.copy()
+        lifted[1] += alpha_bar * a2sq
+        dens = cm_density_correction(kg, alpha_bar)
+        mean = np.trapezoid(kg * dens, kg)
+        assert abs(np.trapezoid(dens, kg) - 1.0) < 1e-9
+        assert abs(mean - lifted.sum()) < 1e-9
+        assert abs(np.trapezoid(kg ** 2 * dens, kg) - mean ** 2
+                   - 2.0 * np.sum(lifted ** 2)) < 1e-9

@@ -192,7 +192,6 @@ def test_distribution_artifact_bytes_match_savetxt(tmp_path):
         assert got.getvalue() == expected.getvalue(), shape
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")   # numpy warns before the empty law is refused
 def test_bad_artifact_header(tmp_path):
     cases = [
         (read_matrix, "not a header\n1,2\n"),
@@ -309,6 +308,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["law", "-c", cfg_law, "--seed", "1"]) == 3
     assert "kernel.csv" in capsys.readouterr().err
 
+    # so is a kernel whose values are not symmetric
+    asymmetric = np.eye(20)
+    asymmetric[0, 1] = 0.5
+    write_matrix(str(kernel_csv), "kernel", asymmetric)
+    assert main(["law", "-c", cfg_law, "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "kernel.csv" in err and "not symmetric" in err
+
     # so is a truncated kernel: half its rows, or none
     cfg_ten = _write(tmp_path, "ten.cfg", f"model=iid\ngrid_m=10\noutdir={tmp_path}/t\n")
     os.makedirs(tmp_path / "t")
@@ -340,6 +347,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["test", "-c", cfg_swap]) == 3
     assert "law_ks.csv" in capsys.readouterr().err
+
+    # an artifact of the wrong kind under the name a verb reads is a data error naming it
+    rng = np.random.default_rng(23)
+    rows = ["a,b,c,d,e"] + [",".join(f"{x:.10g}" for x in r)
+                            for r in rng.standard_normal((600, 5))]
+    data = _write(tmp_path, "emp.csv", "\n".join(rows) + "\n")
+    cfg_kind = _write(tmp_path, "kind.cfg", f"model=empirical\ninput={data}\nt_max=1\n"
+                      f"grid_m=20\nn_trials=2000\noutdir={tmp_path}/w\n")
+    assert main(["estimate", "-c", cfg_kind]) == 0
+    assert main(["kernel", "-c", cfg_kind]) == 0
+    out = tmp_path / "w"
+    originals = {name: (out / name).read_text() for name in ("psi.csv", "kernel.csv")}
+    for source, target, verb in (("kernel.csv", "psi.csv", ["kernel"]),
+                                 ("psi.csv", "kernel.csv", ["law", "--seed", "1"]),
+                                 ("copula_t1.csv", "kernel.csv", ["law", "--seed", "1"])):
+        (out / target).write_text((out / source).read_text())
+        capsys.readouterr()
+        assert main([verb[0], "-c", cfg_kind] + verb[1:]) == 3
+        assert f"{target} holds a" in capsys.readouterr().err
+        (out / target).write_text(originals[target])
 
 
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
