@@ -18,6 +18,7 @@ from .copulas import (
     empirical_copula,
     frechet_bounds,
     psi_accumulate,
+    rank_panel,
     self_copula_at_lag,
 )
 from .errors import ConfigError, DataError, DepgofError, NumericalError, ParameterError

@@ -14,9 +14,16 @@ The lag-summed relative excess
 multiplies the Brownian-bridge covariance to give the limiting covariance
 kernel of the empirical-CDF bridge for dependent data.
 
-Per-lag and per-series estimations are independent and may run
-concurrently; psi_accumulate reduces in ascending-lag order so the result
-is bit-stable regardless of how the per-lag work was scheduled.
+A panel is estimated in one pass per lag, not series by series.
+rank_panel gives each series one stable argsort, whose (value, position)
+order is that of ordinal ranks.  At lag t the ranks of X[:-t] and X[t:]
+are running counts of the positions each keeps along that order (O(N)
+per series), a table built once per lag maps rank to grid bin, and one
+np.bincount counts the (bin, bin) pairs of every series of a block.  The
+bias correction and Frechet clip then act on each series' surface, and
+the mean adds the surfaces in panel order, so it is bitwise the mean of
+the per-series empirical_copula estimates.  psi_accumulate reduces in
+ascending-lag order.
 """
 
 from dataclasses import dataclass
@@ -114,13 +121,25 @@ def empirical_copula(x, y, grid, lag=0, clip_frechet=True):
     by = np.searchsorted(thresholds, rank_y, side="left")
     counts = np.zeros((grid.m + 1, grid.m + 1))
     np.add.at(counts, (bx, by), 1.0)
-    raw = counts[:grid.m, :grid.m].cumsum(axis=0).cumsum(axis=1) / n
-    correction = np.outer(n * grid.points / thresholds, n * grid.points / thresholds)
-    values = raw * correction
+    return CopulaSurface(grid=grid, lag=lag,
+                         values=_corrected_surfaces(counts, n, grid, clip_frechet))
+
+
+def _corrected_surfaces(counts, n, grid, clip_frechet=True):
+    """Bias-corrected copula values from bin counts of shape (..., m+1, m+1).
+
+    The counts are integers, exact in float64, so integer and float counts
+    give the same bits.
+    """
+    m = grid.m
+    below = counts[..., :m, :m].cumsum(axis=-2)
+    values = np.cumsum(below, axis=-1, out=below) / n
+    factor = n * grid.points / copula_thresholds(n, grid)
+    values *= np.outer(factor, factor)
     if clip_frechet:
         lower, upper = frechet_bounds(grid)
-        values = np.clip(values, lower, upper)
-    return CopulaSurface(grid=grid, lag=lag, values=values)
+        np.clip(values, lower, upper, out=values)
+    return values
 
 
 def self_copula_at_lag(series, t, grid):
@@ -139,17 +158,82 @@ def self_copula_at_lag(series, t, grid):
     return empirical_copula(x[:-t], x[t:], grid, lag=t)
 
 
+@dataclass(frozen=True)
+class RankedPanel:
+    """Equal-length series sorted once for the self-copulas of every lag.
+
+    ``order[j]`` lists the positions of series j by ascending (value,
+    position), the order of ordinal ranks; ``slot[j]`` is its inverse, the
+    place of each position in that order.  Both have shape (k, N).
+    """
+
+    order: np.ndarray
+    slot: np.ndarray
+
+
+def rank_panel(panel):
+    """Sort each series of a panel once (stable) for average_self_copula.
+
+    ``panel`` is a sequence of k equal-length series, or a (k, N) array.
+    """
+    try:
+        x = np.asarray(panel, dtype=float)
+    except ValueError as exc:
+        raise DataError(f"a panel needs equal-length numeric series: {exc}") from None
+    if x.size == 0 and x.ndim == 1:
+        x = x.reshape(0, 0)
+    if x.ndim != 2:
+        raise DataError(f"a panel is a sequence of series, got an array of shape {x.shape}")
+    if np.isnan(x).any():
+        raise DataError("panel holds NaN values, which have no rank")
+    order = np.argsort(x, axis=1, kind="stable")
+    slot = np.empty_like(order)
+    np.put_along_axis(slot, order, np.arange(x.shape[1]), axis=1)
+    return RankedPanel(order=order, slot=slot)
+
+
+# Series per counting pass.  It bounds the (block, m+1, m+1) count and
+# surface arrays; the surfaces are added one by one in panel order, so the
+# mean does not depend on it.
+_BLOCK = 8
+
+
 def average_self_copula(panel, t, grid):
-    """Entrywise mean of per-series lag-t self-copulas over a panel."""
-    acc = None
-    count = 0
-    for series in panel:
-        surf = self_copula_at_lag(series, t, grid)
-        acc = surf.values if acc is None else acc + surf.values
-        count += 1
-    if count == 0:
+    """Entrywise mean over a panel of its series' lag-t self-copulas.
+
+    ``panel`` is a RankedPanel, or anything rank_panel takes.  The mean is
+    bitwise that of self_copula_at_lag over the series, added in panel
+    order.
+    """
+    ranked = panel if isinstance(panel, RankedPanel) else rank_panel(panel)
+    k, size = ranked.order.shape
+    if k == 0:
         raise DataError("empty panel")
-    return CopulaSurface(grid=grid, lag=t, values=acc / count)
+    if t < 1:
+        raise ParameterError(f"lag must be >= 1, got t={t}")
+    if size <= t + grid.m:
+        raise DataError(
+            f"series of length {size} too short for lag {t} on an m={grid.m} grid")
+    n = size - t
+    # grid bin of each rank 0..n: the first threshold >= rank, m = beyond the grid
+    bins = np.searchsorted(copula_thresholds(n, grid), np.arange(n + 1), side="left")
+    side = grid.m + 1
+    acc = np.zeros((grid.m, grid.m))   # surfaces are >= +0, so 0 + first = first
+    for lo in range(0, k, _BLOCK):
+        order = ranked.order[lo:lo + _BLOCK]
+        slot = ranked.slot[lo:lo + _BLOCK]
+        # ordinal rank of x[i] in x[:-t] (of x[i+t] in x[t:]) = number of the
+        # positions that sample keeps, up to x[i]'s place in the sorted order
+        bx = bins[np.take_along_axis(np.cumsum(order < n, axis=1), slot[:, :n], axis=1)]
+        by = bins[np.take_along_axis(np.cumsum(order >= t, axis=1), slot[:, t:], axis=1)]
+        block = order.shape[0]
+        cells = bx * side + by
+        cells += (side * side) * np.arange(block)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=block * side * side)
+        surfaces = _corrected_surfaces(counts.reshape(block, side, side), n, grid)
+        for values in surfaces:
+            acc += values
+    return CopulaSurface(grid=grid, lag=t, values=acc / k)
 
 
 def psi_accumulate(surfaces, n):

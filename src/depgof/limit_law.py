@@ -138,11 +138,25 @@ def simulate_iid_statistic_distribution(m, n_trials, seed):
         y[:, 1:m + 1] = walk[:, :m] - np.outer(walk[:, m], g.points)
         a = y[:, :-1]
         c = y[:, 1:]
-        gap2 = (c - a) ** 2
-        hi = 0.5 * ((a + c) + np.sqrt(gap2 - 2.0 * w * np.log(rng.random((b, m + 1)))))
-        lo = 0.5 * ((a + c) - np.sqrt(gap2 - 2.0 * w * np.log(rng.random((b, m + 1)))))
+        mid = a + c
+        gap2 = c - a
+        gap2 *= gap2
+
+        def reach():
+            # sqrt(gap2 - 2 w log U), in place; one uniform draw per call
+            r = rng.random((b, m + 1))
+            np.log(r, out=r)
+            r *= 2.0 * w
+            np.subtract(gap2, r, out=r)
+            return np.sqrt(r, out=r)
+
+        hi = np.add(mid, reach(), out=walk)  # walk is spent: reuse its buffer
+        hi *= 0.5
+        neg_lo = np.subtract(mid, reach(), out=mid)
+        neg_lo *= -0.5
         inner = y[:, 1:m + 1]
-        return np.maximum(hi, -lo).max(axis=1), np.einsum("ij,ij->i", inner, inner) * w
+        ks = np.maximum(hi, neg_lo, out=hi).max(axis=1)
+        return ks, np.einsum("ij,ij->i", inner, inner) * w
 
     return _simulate(draw, n_trials, seed, f"bridge:iid:m={m}", m)
 

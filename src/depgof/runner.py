@@ -334,11 +334,19 @@ def estimate_psi(panel, config, outdir=None):
     """
     grid = QuantileGrid(config.grid_m)
     t_max = config.resolved_t_max(panel.n)
-    series = [col for _, col in panel.columns()]
+    longest = panel.n - grid.m - 1   # every lag pair needs n - t >= m + 1 points
+    if t_max > longest:
+        asked = (f"t_max={config.t_max}" if config.t_max else
+                 f"auto t_max={t_max} = min(512, n//2)")
+        fits = (f"the largest admissible t_max is {longest}" if longest >= 1 else
+                "no lag fits; lower grid_m or use longer series")
+        raise DataError(f"{asked} is too large for series of length n={panel.n} on a "
+                        f"grid_m={grid.m} grid: {fits}")
+    ranked = copulas.rank_panel(panel.values.T)
     surfaces = []
     ladder = {1 << i for i in range(30)}
     for t in range(1, t_max + 1):
-        surf = copulas.average_self_copula(series, t, grid)
+        surf = copulas.average_self_copula(ranked, t, grid)
         surfaces.append(surf)
         if outdir and (t in ladder or t == t_max):
             write_matrix(os.path.join(outdir, f"copula_t{t}.csv"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from depgof import (
@@ -19,7 +21,8 @@ from depgof import (
     psi_accumulate,
     self_copula_at_lag,
 )
-from depgof.copulas import copula_thresholds, product_copula
+from depgof import copulas
+from depgof.copulas import copula_thresholds, product_copula, rank_panel
 
 from conftest import gaussian_copula
 
@@ -154,6 +157,88 @@ def test_average_self_copula_basics(grid):
     assert np.array_equal(single.values, direct.values)
     with pytest.raises(DataError):
         average_self_copula([], 2, grid)
+
+
+def _sequential_mean(panel, t, grid):
+    """Mean of the per-pair estimates, added series by series in panel order."""
+    acc = None
+    for x in panel:
+        values = empirical_copula(x[:-t], x[t:], grid).values
+        acc = values if acc is None else acc + values
+    return acc / len(panel)
+
+
+def _panel(k, size, seed, decimals):
+    """k series of one length; rounding to `decimals` makes ties (None: none)."""
+    rng = np.random.default_rng(seed)
+    panel = rng.standard_normal((k, size)).cumsum(axis=1) * 0.3
+    return panel if decimals is None else np.round(panel, decimals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), m=st.integers(1, 30), t=st.integers(1, 12),
+       spare=st.one_of(st.just(0), st.integers(1, 4).map(lambda j: -j), st.integers(1, 90)),
+       decimals=st.sampled_from([None, 0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+@example(k=3, m=10, t=1, spare=0, decimals=0, seed=0)       # n - t = m + 1
+@example(k=2, m=20, t=5, spare=-3, decimals=1, seed=1)      # n - t = 3 (m + 1)
+@example(k=6, m=30, t=12, spare=-4, decimals=None, seed=2)  # n - t = 4 (m + 1)
+def test_panel_estimator_is_the_sequential_mean_of_pair_estimates(k, m, t, spare, decimals,
+                                                                   seed):
+    """``spare`` is the excess of n - t over m + 1, or -j for n - t = j (m + 1)."""
+    grid = QuantileGrid(m)
+    pairs = (m + 1) * -spare if spare < 0 else m + 1 + spare
+    panel = _panel(k, pairs + t, seed, decimals)
+    expected = _sequential_mean(panel, t, grid)
+    for given_as in (list(panel), panel, rank_panel(panel)):
+        surf = average_self_copula(given_as, t, grid)
+        assert surf.lag == t
+        assert surf.values.tobytes() == expected.tobytes()
+
+
+def test_panel_estimator_does_not_depend_on_the_block(monkeypatch):
+    grid = QuantileGrid(15)
+    panel = _panel(2 * copulas._BLOCK + 3, 300, seed=12, decimals=1)
+    expected = _sequential_mean(panel, 7, grid)
+    for block in (1, 5, copulas._BLOCK, 1000):
+        monkeypatch.setattr(copulas, "_BLOCK", block)
+        assert average_self_copula(panel, 7, grid).values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(1, 6), column=st.integers(0, 5), t=st.integers(1, 9),
+       decimals=st.sampled_from([None, 1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_panel_estimator_invariant_under_increasing_transforms(k, column, t, decimals, seed):
+    grid = QuantileGrid(12)
+    panel = _panel(k, 200, seed, decimals)
+    moved = panel.copy()
+    j = column % k
+    moved[j] = np.exp(moved[j]) if seed % 2 else 7.0 * moved[j] ** 3 - 1.0
+    base = average_self_copula(panel, t, grid).values
+    assert average_self_copula(moved, t, grid).values.tobytes() == base.tobytes()
+
+
+def test_panel_estimator_input_checks():
+    grid = QuantileGrid(10)
+    panel = _panel(3, 40, seed=4, decimals=None)
+    with pytest.raises(ParameterError):
+        average_self_copula(panel, 0, grid)
+    with pytest.raises(ParameterError):
+        average_self_copula(rank_panel(panel), -2, grid)
+    for empty in ([], np.empty((0, 40))):
+        with pytest.raises(DataError, match="empty panel"):
+            average_self_copula(empty, 1, grid)
+    # n - t must be at least m + 1: 40 - 29 = 11 pairs pass, 40 - 30 = 10 do not
+    average_self_copula(panel, 29, grid)
+    with pytest.raises(DataError, match="too short"):
+        average_self_copula(panel, 30, grid)
+    with pytest.raises(DataError):
+        average_self_copula([panel[0], panel[1][:-1]], 1, grid)
+    with pytest.raises(DataError):
+        average_self_copula(panel[0], 1, grid)
+    nan_panel = panel.copy()
+    nan_panel[1, 5] = np.nan
+    with pytest.raises(DataError, match="NaN"):
+        average_self_copula(nan_panel, 1, grid)
 
 
 def test_panel_averaging_shrinks_noise():

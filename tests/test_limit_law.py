@@ -165,6 +165,32 @@ def test_refined_iid_law_matches_kolmogorov():
     assert np.abs(ecdf - kolmogorov_series(kgrid)).max() < 0.01
 
 
+def _iid_draw_reference(m, count, rng):
+    """The iid bridge draw written out of place, one temporary per operation."""
+    g = QuantileGrid(m)
+    w = g.weight
+    walk = np.cumsum(rng.standard_normal((count, m + 1)) * math.sqrt(w), axis=1)
+    y = np.zeros((count, m + 2))
+    y[:, 1:m + 1] = walk[:, :m] - np.outer(walk[:, m], g.points)
+    a, c = y[:, :-1], y[:, 1:]
+    gap2 = (c - a) ** 2
+    hi = 0.5 * ((a + c) + np.sqrt(gap2 - 2.0 * w * np.log(rng.random((count, m + 1)))))
+    lo = 0.5 * ((a + c) - np.sqrt(gap2 - 2.0 * w * np.log(rng.random((count, m + 1)))))
+    inner = y[:, 1:m + 1]
+    return np.maximum(hi, -lo).max(axis=1), np.einsum("ij,ij->i", inner, inner) * w
+
+
+@pytest.mark.parametrize("m, n_trials, seed",
+                         [(10, 1000, 0), (37, 2 * _CHUNK + 7, 5), (100, 4000, 73)])
+def test_iid_sampler_matches_the_out_of_place_draw(m, n_trials, seed):
+    parts = [_iid_draw_reference(m, min(_CHUNK, n_trials - start), np.random.default_rng(
+                 np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+             for i, start in enumerate(range(0, n_trials, _CHUNK))]
+    laws = simulate_iid_statistic_distribution(m, n_trials, seed)
+    for dist, samples in zip(laws, zip(*parts)):
+        assert dist.samples.tobytes() == np.sort(np.concatenate(samples)).tobytes()
+
+
 def test_dependent_law_dominates_iid(grid):
     iid = eigendecompose(brownian_bridge_kernel(grid))
     dep = eigendecompose(build_kernel_ar1(Ar1LogVolParams(0.88, 0.05), grid))

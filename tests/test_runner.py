@@ -382,6 +382,33 @@ def test_cli_rejects_non_finite_cells(tmp_path, capsys, cell):
     assert "row 8, column 'y'" in err
 
 
+@pytest.mark.parametrize("t_max_line, grid_m, named", [
+    ("", 100, "auto t_max=90"),          # 180 // 2 lags leave 90 < 101 pairs
+    ("t_max=80\n", 100, "t_max=80"),     # one lag past the largest that fits
+    ("t_max=5\n", 200, "no lag fits"),   # 180 points cannot fill a 201-point grid
+])
+def test_cli_estimate_refuses_a_t_max_too_large_before_any_lag(tmp_path, capsys, t_max_line,
+                                                               grid_m, named):
+    rng = np.random.default_rng(23)
+    rows = ["a,b,c"] + [",".join(f"{v:.10g}" for v in r) for r in rng.standard_normal((180, 3))]
+    data = _write(tmp_path, "short.csv", "\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, "short.cfg", f"model=empirical\ninput={data}\n{t_max_line}"
+                 f"grid_m={grid_m}\noutdir={out}\n")
+    assert main(["estimate", "-c", cfg]) == 3
+    err = capsys.readouterr().err
+    assert named in err and f"grid_m={grid_m}" in err and "n=180" in err
+    if grid_m == 100:
+        assert "largest admissible t_max is 79" in err
+    assert list(out.iterdir()) == []
+    # the largest admissible t_max runs
+    if grid_m == 100:
+        cfg_ok = _write(tmp_path, "ok.cfg", f"model=empirical\ninput={data}\nt_max=79\n"
+                        f"grid_m=100\noutdir={out}\n")
+        assert main(["estimate", "-c", cfg_ok]) == 0
+        assert (out / "psi.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
 def test_cli_test_refuses_laws_of_another_grid(tmp_path, capsys):
     out = tmp_path / "grid"
