@@ -29,7 +29,6 @@ ascending-lag order.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError, ParameterError
 from .grid import QuantileGrid
@@ -114,8 +113,8 @@ def empirical_copula(x, y, grid, lag=0, clip_frechet=True):
         raise DataError(
             f"grid finer than data: need n >= m+1 = {grid.m + 1}, got n={n}")
     thresholds = copula_thresholds(n, grid)
-    rank_x = rankdata(x, method="ordinal")
-    rank_y = rankdata(y, method="ordinal")
+    rank_x = _sort_once(x, "sample x")[1] + 1
+    rank_y = _sort_once(y, "sample y")[1] + 1
     # bin index of the first grid threshold >= rank; m = beyond the grid
     bx = np.searchsorted(thresholds, rank_x, side="left")
     by = np.searchsorted(thresholds, rank_y, side="left")
@@ -164,7 +163,7 @@ class RankedPanel:
 
     ``order[j]`` lists the positions of series j by ascending (value,
     position), the order of ordinal ranks; ``slot[j]`` is its inverse, the
-    place of each position in that order.  Both have shape (k, N).
+    place of each position in that order.  Both are int32 of shape (k, N).
     """
 
     order: np.ndarray
@@ -184,12 +183,22 @@ def rank_panel(panel):
         x = x.reshape(0, 0)
     if x.ndim != 2:
         raise DataError(f"a panel is a sequence of series, got an array of shape {x.shape}")
-    if np.isnan(x).any():
-        raise DataError("panel holds NaN values, which have no rank")
-    order = np.argsort(x, axis=1, kind="stable")
-    slot = np.empty_like(order)
-    np.put_along_axis(slot, order, np.arange(x.shape[1]), axis=1)
+    order, slot = _sort_once(x, "panel")
     return RankedPanel(order=order, slot=slot)
+
+
+def _sort_once(x, what):
+    """Stable argsort along the last axis and its inverse, both int32.
+
+    The order is that of ordinal ranks (ties by position), so slot + 1 is
+    the ordinal rank.  NaN has no rank and is refused, naming ``what``.
+    """
+    if np.isnan(x).any():
+        raise DataError(f"{what} holds NaN values, which have no rank")
+    order = np.argsort(x, axis=-1, kind="stable").astype(np.int32)
+    slot = np.empty_like(order)
+    np.put_along_axis(slot, order, np.arange(x.shape[-1], dtype=np.int32), axis=-1)
+    return order, slot
 
 
 # Series per counting pass.  It bounds the (block, m+1, m+1) count and

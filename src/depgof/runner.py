@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import copulas, kernels, limit_law, lognormal, sampling
 from .errors import ConfigError, DataError
@@ -402,7 +402,7 @@ def _target_quantiles(config, panel):
     grid = QuantileGrid(config.grid_m)
     k = len(panel.names)
     if config.target == "gaussian":
-        return [norm.ppf(grid.points)] * k
+        return [ndtri(grid.points)] * k
     if config.model != "empirical":
         s2 = [_model(config)[0].stationary_var] * k
     elif config.target_s2 >= 0.0:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import NumericalError, ParameterError
 
@@ -123,10 +122,16 @@ def gen_ar1_logvol(params, n, seed, return_logvol=False):
     params : Ar1LogVolParams
     n : int
         Series length, >= 2.
-    seed : int
+    seed : int or numpy.random.SeedSequence
         PCG64 stream seed; identical inputs give bitwise-identical output.
     return_logvol : bool
         Also return the latent omega path (diagnostics and tests).
+
+    Notes
+    -----
+    With drive_0 ~ N(0, V[omega]) and drive_n = Sigma eta_n, the path is the
+    recursion omega_0 = drive_0, omega_n = drive_n + g omega_{n-1}, run in
+    float64 one step at a time (the arithmetic of the IIR filter 1/(1 - g z^-1)).
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
@@ -135,7 +140,11 @@ def gen_ar1_logvol(params, n, seed, return_logvol=False):
     drive = np.empty(n)
     drive[0] = rng.standard_normal() * np.sqrt(v)
     drive[1:] = rng.standard_normal(n - 1) * np.sqrt(params.sigma2)
-    omega = lfilter([1.0], [1.0, -params.g], drive)
+    path = drive.tolist()
+    g = params.g
+    for i in range(1, n):
+        path[i] += g * path[i - 1]
+    omega = np.array(path)
     x = rng.standard_normal(n) * np.exp(omega - v)
     return (x, omega) if return_logvol else x
 

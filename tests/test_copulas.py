@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import rankdata
 
 from depgof import (
     Ar1LogVolParams,
@@ -65,7 +66,6 @@ def test_correction_factor_is_one_on_aligned_sample(grid):
     thresholds = copula_thresholds(202, grid)
     assert_allclose(thresholds, 202 * grid.points, rtol=0, atol=1e-9)
     raw = np.zeros((grid.m, grid.m))
-    from scipy.stats import rankdata
     rx, ry = rankdata(x, method="ordinal"), rankdata(y, method="ordinal")
     for i, a in enumerate(thresholds):
         for j, b in enumerate(thresholds):
@@ -89,6 +89,35 @@ def test_estimator_input_checks(grid):
         empirical_copula(rng.standard_normal(100), rng.standard_normal(101), grid)
     with pytest.raises(DataError):
         empirical_copula(rng.standard_normal(50), rng.standard_normal(50), grid)
+    # NaN has no rank: refused, naming the sample, not estimated as a Frechet bound
+    x = rng.standard_normal(200)
+    y = x.copy()
+    y[3] = np.nan
+    small = QuantileGrid(10)
+    with pytest.raises(DataError, match="sample y holds NaN"):
+        empirical_copula(x, y, small)
+    with pytest.raises(DataError, match="sample x holds NaN"):
+        empirical_copula(y, x, small)
+    with pytest.raises(DataError, match="NaN"):
+        self_copula_at_lag(y, 2, small)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(11, 400), decimals=st.sampled_from([None, 0, 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_ranks_are_ordinal_rankdata(n, decimals, seed):
+    """The per-pair estimator equals its rankdata(method="ordinal") form bit for bit."""
+    grid = QuantileGrid(10)
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, n)) * 2.0
+    if decimals is not None:   # ties
+        x, y = np.round(x, decimals), np.round(y, decimals)
+    thresholds = copula_thresholds(n, grid)
+    counts = np.zeros((grid.m + 1, grid.m + 1))
+    bins = [np.searchsorted(thresholds, rankdata(s, method="ordinal")) for s in (x, y)]
+    np.add.at(counts, tuple(bins), 1.0)
+    expected = copulas._corrected_surfaces(counts, n, grid)
+    assert empirical_copula(x, y, grid).values.tobytes() == expected.tobytes()
 
 
 def test_unbiasedness_under_independence():
@@ -189,7 +218,9 @@ def test_panel_estimator_is_the_sequential_mean_of_pair_estimates(k, m, t, spare
     pairs = (m + 1) * -spare if spare < 0 else m + 1 + spare
     panel = _panel(k, pairs + t, seed, decimals)
     expected = _sequential_mean(panel, t, grid)
-    for given_as in (list(panel), panel, rank_panel(panel)):
+    ranked = rank_panel(panel)
+    assert ranked.order.dtype == ranked.slot.dtype == np.int32
+    for given_as in (list(panel), panel, ranked):
         surf = average_self_copula(given_as, t, grid)
         assert surf.lag == t
         assert surf.values.tobytes() == expected.tobytes()

@@ -4,12 +4,15 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import norm
 
 from depgof import (
     ConfigError,
@@ -26,6 +29,7 @@ from depgof import (
 from depgof.cli import main
 from depgof.limit_law import _chunk_rng
 from depgof.runner import (
+    _target_quantiles,
     _write_rows,
     estimate_psi,
     generate_panel,
@@ -528,3 +532,58 @@ def test_pipeline_equals_verb_chain(tmp_path, model):
     expected = _dir_bytes(piped)
     assert "results.jsonl" in expected
     assert _dir_bytes(chained) == expected
+
+
+@pytest.mark.parametrize("m", [10, 15, 99, 100, 256, 599])
+def test_gaussian_target_quantiles_are_norm_ppf(m):
+    panel = PanelData(names=["a", "b"], values=np.zeros((5, 2)))
+    config = PipelineConfig(model="empirical", target="gaussian", grid_m=m)
+    expected = norm.ppf(QuantileGrid(m).points).tobytes()
+    assert [q.tobytes() for q in _target_quantiles(config, panel)] == [expected] * 2
+
+
+# Runs in a fresh interpreter: depgof, a tiny fig2 and a tiny empirical verb
+# chain with a Gaussian target must leave scipy.stats and scipy.signal unloaded.
+_STARTUP_SCRIPT = """
+import json, os, sys
+import numpy as np
+
+def heavy():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[:2] in (["scipy", "stats"], ["scipy", "signal"]))
+
+import depgof
+from depgof.cli import main
+from depgof.runner import PipelineConfig, reproduce
+
+out = sys.argv[1]
+loaded = {"import depgof": heavy()}
+reproduce("fig2", PipelineConfig(n=300, replications=6, grid_m=15, n_trials=2000, seed=1,
+                                 outdir=os.path.join(out, "fig2")))
+loaded["reproduce fig2"] = heavy()
+rows = np.random.default_rng(3).standard_normal((300, 3))
+with open(os.path.join(out, "in.csv"), "w") as fh:
+    fh.write("x,y,z\\n" + "".join(",".join(map(repr, r)) + "\\n" for r in rows.tolist()))
+cfg = os.path.join(out, "emp.cfg")
+with open(cfg, "w") as fh:
+    fh.write(f"model=empirical\\ninput={out}/in.csv\\ntarget=gaussian\\ngrid_m=15\\n"
+             f"t_max=4\\nn_trials=2000\\noutdir={out}/emp\\n")
+for verb in (["estimate"], ["kernel"], ["law", "--seed", "5"], ["test"]):
+    assert main([verb[0], "-c", cfg] + verb[1:]) == 0
+loaded["estimate, kernel, law, test"] = heavy()
+with open(os.path.join(out, "loaded.json"), "w") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+def test_depgof_never_loads_scipy_stats_or_signal(tmp_path):
+    import depgof
+    src = os.path.dirname(os.path.dirname(os.path.abspath(depgof.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads((tmp_path / "loaded.json").read_text(encoding="utf-8"))
+    assert list(loaded) == ["import depgof", "reproduce fig2", "estimate, kernel, law, test"]
+    assert loaded == {point: [] for point in loaded}

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.signal import lfilter
 
 from depgof import (
     Ar1LogVolParams,
@@ -43,6 +46,27 @@ def test_ar1_determinism():
     b = gen_ar1_logvol(AR1, 2500, seed=7)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, gen_ar1_logvol(AR1, 2500, seed=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.floats(0.0, 0.99), sigma2=st.floats(1e-4, 5.0), n=st.integers(2, 3000),
+       seed=st.integers(0, 2 ** 32 - 1), spawned=st.booleans())
+@example(g=0.88, sigma2=0.05, n=2, seed=0, spawned=False)
+@example(g=0.0, sigma2=1.0, n=3, seed=1, spawned=True)
+@example(g=0.99, sigma2=0.05, n=2500, seed=2, spawned=True)
+def test_ar1_recursion_is_the_lfilter_path(g, sigma2, n, seed, spawned):
+    """The AR(1) generator gives the bytes of the IIR-filter construction."""
+    params = Ar1LogVolParams(g=g, sigma2=sigma2)
+    seed = np.random.SeedSequence(entropy=seed, spawn_key=(1, 3)) if spawned else seed
+    x, omega = gen_ar1_logvol(params, n, seed, return_logvol=True)
+    rng = np.random.default_rng(seed)
+    drive = np.empty(n)
+    drive[0] = rng.standard_normal() * np.sqrt(params.stationary_var)
+    drive[1:] = rng.standard_normal(n - 1) * np.sqrt(sigma2)
+    expected = lfilter([1.0], [1.0, -g], drive)
+    assert omega.tobytes() == expected.tobytes()
+    expected_x = rng.standard_normal(n) * np.exp(expected - params.stationary_var)
+    assert x.tobytes() == expected_x.tobytes()
 
 
 def test_ar1_lag1_autocovariance():
