@@ -35,9 +35,10 @@ iid = eigendecompose(brownian_bridge_kernel(grid))
 corr_ks, corr_cm = simulate_statistic_distribution(corr, 100_000, seed=11)
 iid_ks, iid_cm = simulate_statistic_distribution(iid, 100_000, seed=12)
 
+panel = gen_ar1_logvol(params, n, [np.random.SeedSequence(entropy=3, spawn_key=(r,))
+                                   for r in range(replications)])
 p_iid, p_corr = [], []
-for r in range(replications):
-    x = gen_ar1_logvol(params, n, np.random.SeedSequence(entropy=3, spawn_key=(r,)))
+for x in panel.T:
     p_iid.append(run_gof_test(x, q, iid_ks, iid_cm).cm_p)
     p_corr.append(run_gof_test(x, q, corr_ks, corr_cm).cm_p)
 

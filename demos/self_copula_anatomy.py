@@ -29,8 +29,9 @@ grid = QuantileGrid(50)
 params = Ar1LogVolParams(g=0.88, sigma2=0.05)
 basis = get_basis(math.sqrt(params.stationary_var))
 
-panel = [gen_ar1_logvol(params, 2500, np.random.SeedSequence(entropy=4, spawn_key=(j,)))
-         for j in range(80)]
+# one series per row: the generator returns one column per seed
+panel = gen_ar1_logvol(params, 2500, [np.random.SeedSequence(entropy=4, spawn_key=(j,))
+                                      for j in range(80)]).T
 
 print("lag   alpha_fit  alpha_true  blomqvist_rho  Delta(0.92,0.92)")
 coeffs = []

@@ -46,7 +46,20 @@ class StatisticDistribution:
         return self.samples.size
 
     def quantile(self, u):
-        return np.quantile(self.samples, u)
+        """np.quantile's linear rule, bitwise, read off the sorted samples: the
+        value at fractional index h = (n - 1) u, interpolated from whichever
+        neighbour is nearer, as numpy does."""
+        u = np.asarray(u, dtype=float)
+        if not np.all((u >= 0.0) & (u <= 1.0)):
+            raise ParameterError("quantile level must lie in [0,1]")
+        h = (self.n_trials - 1) * u
+        below = np.floor(h)
+        t = h - below
+        last = self.n_trials - 1
+        a = self.samples[np.minimum(below, last).astype(np.intp)]
+        b = self.samples[np.minimum(below + 1.0, last).astype(np.intp)]
+        step = b - a
+        return np.where(t >= 0.5, b - step * (1.0 - t), a + step * t)[()]
 
 
 @dataclass(frozen=True)

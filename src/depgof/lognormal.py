@@ -22,8 +22,9 @@ count is chosen so that doubling it moves the basis tables by less than
 1e-9.  The nodes are computed once per node count and shared read-only by
 every basis.  Quantiles come from one vectorized Newton solve over all
 levels, safeguarded by a bracket: the CDF and the density of a step come
-from the same quadrature pass.  Grid tables (quantiles, A and R) are
-cached on first use and are safe to share across threads read-only.
+from the same quadrature pass.  The grid quantiles, and the A and R tables
+at them, are each cached on first use (a test needs only the quantiles)
+and are safe to share across threads read-only.
 """
 
 import math
@@ -70,6 +71,7 @@ class LogNormalVolBasis:
         self.s = float(s)
         self.nodes = int(nodes)
         self._omega, self._weights = _hermite(self.nodes)   # N(0,1) nodes
+        self._grid_quantiles = {}
         self._grid_tables = {}
 
     def _expect(self, f, x):
@@ -91,12 +93,14 @@ class LogNormalVolBasis:
         # F(-x) = 1 - F(x); 1 - u is exact for u > 1/2
         upper = u_arr > 0.5
         u_arr = np.where(upper, 1.0 - u_arr, u_arr)
+        # every hi > 0 has F(hi) >= F(0) = 1/2 >= u, so only lo may need widening;
+        # the levels share few lo values, and the CDF is read once at each
         lo, hi = np.full(u_arr.shape, -60.0), np.full(u_arr.shape, 60.0)
         for _ in range(_BRACKET_DOUBLINGS):
-            low_hi, high_lo = self.cdf(hi) < u_arr, self.cdf(lo) > u_arr
-            if not (low_hi.any() or high_lo.any()):
+            values, inverse = np.unique(lo, return_inverse=True)
+            high_lo = self.cdf(values)[inverse] > u_arr
+            if not high_lo.any():
                 break
-            hi[low_hi] *= 2.0
             lo[high_lo] *= 2.0
         else:
             raise NumericalError("cannot bracket the marginal quantile")
@@ -122,25 +126,25 @@ class LogNormalVolBasis:
             x = np.where(small | inside, np.clip(newton, lo, hi), 0.5 * (lo + hi))
         raise NumericalError(f"marginal quantile did not converge in {_NEWTON_STEPS} steps")
 
-    def _tabulate(self, grid):
-        """(q, A, R) on the grid, q = F^{-1}(u_i); computed once per grid and cached."""
-        key = grid.m
-        if key not in self._grid_tables:
+    def quantiles(self, grid):
+        """Marginal quantiles F^{-1}(u_i) of the grid levels, solved once per grid
+        and cached."""
+        if grid.m not in self._grid_quantiles:
             q = self.quantile(grid.points)
-            a, r = self._expect(_dphi, q), self._expect(_phi, q)
-            for table in (q, a, r):
-                table.flags.writeable = False
-            self._grid_tables[key] = (q, a, r)
-        return self._grid_tables[key]
+            q.flags.writeable = False
+            self._grid_quantiles[grid.m] = q
+        return self._grid_quantiles[grid.m]
 
     def tables(self, grid):
-        """(A, R) tabulated on the grid, from the cached grid tables; on an odd
-        grid u = 1/2 is a node, where A = 0 and R = (2 pi)^{-1/2}."""
-        return self._tabulate(grid)[1:]
-
-    def quantiles(self, grid):
-        """Marginal quantiles F^{-1}(u_i) of the grid levels, from the cached grid tables."""
-        return self._tabulate(grid)[0]
+        """(A, R) tabulated at the grid's cached quantiles, once per grid and cached;
+        on an odd grid u = 1/2 is a node, where A = 0 and R = (2 pi)^{-1/2}."""
+        if grid.m not in self._grid_tables:
+            q = self.quantiles(grid)
+            a, r = self._expect(_dphi, q), self._expect(_phi, q)
+            a.flags.writeable = False
+            r.flags.writeable = False
+            self._grid_tables[grid.m] = a, r
+        return self._grid_tables[grid.m]
 
     def traces(self, grid):
         """(Tr A, Tr R) = quadrature of A^2 and R^2 on the grid."""

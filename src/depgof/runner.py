@@ -16,8 +16,11 @@ sorted samples, results one JSON object per line (name, ks, cm, p_ks, p_cm).
 ``test_panel`` reads each column's empirical CDF at its target's quantiles
 of the grid levels, so the target CDF is never evaluated at the samples.
 
-The ``threads`` key (>= 1) sets the worker count for Monte-Carlo law
-simulation; it does not change any result.  All stages are deterministic
+The ``threads`` key (>= 1) sets the worker count of the stages whose units
+are independent: the Monte-Carlo law chunks, the lags of ``estimate_psi``
+and the distinct volatility scales of ``test_panel``'s target quantiles.
+Each unit's arithmetic does not depend on it, and its results are combined
+in a fixed order, so it changes no result.  All stages are deterministic
 given the config and seed.
 """
 
@@ -26,6 +29,7 @@ import json
 import math
 import os
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -286,6 +290,12 @@ def write_results(path, rows):
 
 # --- pipeline stages -------------------------------------------------------
 
+def _map(threads, fn, items):
+    """[fn(item) for item in items] on `threads` workers, in the items' order."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def _model(config):
     """(params, generator) of the synthetic model named by the config."""
     if config.model == "ar1":
@@ -314,10 +324,12 @@ def generate_panel(config, outdir=None):
     """Synthesize `replications` independent series of length n; writes panel.csv."""
     params, generate = _model(config)
     reps, n = config.replications, config.n
-    values = np.empty((n, reps))
-    for j in range(reps):
-        seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(_PANEL_STREAM, j))
-        values[:, j] = generate(params, n, seed)
+    seeds = [np.random.SeedSequence(entropy=config.seed, spawn_key=(_PANEL_STREAM, j))
+             for j in range(reps)]
+    if config.model == "ar1":   # one recursion over every column
+        values = generate(params, n, seeds)
+    else:
+        values = np.column_stack([generate(params, n, seed) for seed in seeds])
     panel = PanelData(names=[f"s{j:04d}" for j in range(reps)], values=values)
     if outdir:
         with open(os.path.join(outdir, "panel.csv"), "w", encoding="utf-8") as fh:
@@ -343,11 +355,10 @@ def estimate_psi(panel, config, outdir=None):
         raise DataError(f"{asked} is too large for series of length n={panel.n} on a "
                         f"grid_m={grid.m} grid: {fits}")
     ranked = copulas.rank_panel(panel.values.T)
-    surfaces = []
+    surfaces = _map(config.threads, lambda t: copulas.average_self_copula(ranked, t, grid),
+                    range(1, t_max + 1))
     ladder = {1 << i for i in range(30)}
-    for t in range(1, t_max + 1):
-        surf = copulas.average_self_copula(ranked, t, grid)
-        surfaces.append(surf)
+    for t, surf in enumerate(surfaces, start=1):
         if outdir and (t in ladder or t == t_max):
             write_matrix(os.path.join(outdir, f"copula_t{t}.csv"),
                          "copula", surf.values, lag=t)
@@ -397,8 +408,8 @@ def simulate_laws(spectrum, config, seed, outdir=None, suffix=""):
 
 
 def _target_quantiles(config, panel):
-    """Null-marginal quantiles at the grid levels, one vector per column; the
-    shared basis of each distinct volatility scale solves for them once."""
+    """Null-marginal quantiles at the grid levels, one vector per column; each
+    distinct volatility scale is solved once, on a `threads` worker."""
     grid = QuantileGrid(config.grid_m)
     k = len(panel.names)
     if config.target == "gaussian":
@@ -412,7 +423,15 @@ def _target_quantiles(config, panel):
         own = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
         total = own.sum()
         s2 = [max((total - v) / max(1, k - 1), 0.0) for v in own]
-    return [lognormal.vol_model_quantiles(grid, math.sqrt(v)) for v in s2]
+    scales = [math.sqrt(v) for v in s2]
+    distinct = list(dict.fromkeys(scales))
+    # create the shared bases in column order, as a serial solve would, so that
+    # the worker order cannot pick which scale a basis takes
+    for s in distinct:
+        lognormal.get_basis(s)
+    solved = dict(zip(distinct, _map(
+        config.threads, lambda s: lognormal.vol_model_quantiles(grid, s), distinct)))
+    return [solved[s] for s in scales]
 
 
 def test_panel(panel, config, dist_ks, dist_cm, outdir=None, filename="results.jsonl"):

@@ -122,8 +122,10 @@ def gen_ar1_logvol(params, n, seed, return_logvol=False):
     params : Ar1LogVolParams
     n : int
         Series length, >= 2.
-    seed : int or numpy.random.SeedSequence
+    seed : int, numpy.random.SeedSequence, or a list or tuple of them
         PCG64 stream seed; identical inputs give bitwise-identical output.
+        A sequence of k seeds gives an (n, k) panel whose column j is the
+        series of seed j.
     return_logvol : bool
         Also return the latent omega path (diagnostics and tests).
 
@@ -131,21 +133,26 @@ def gen_ar1_logvol(params, n, seed, return_logvol=False):
     -----
     With drive_0 ~ N(0, V[omega]) and drive_n = Sigma eta_n, the path is the
     recursion omega_0 = drive_0, omega_n = drive_n + g omega_{n-1}, run in
-    float64 one step at a time (the arithmetic of the IIR filter 1/(1 - g z^-1)).
+    float64 one step at a time (the arithmetic of the IIR filter 1/(1 - g z^-1))
+    over every column at once.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
-    rng = np.random.default_rng(seed)
+    panel = isinstance(seed, (list, tuple))
+    rngs = [np.random.default_rng(s) for s in (seed if panel else [seed])]
     v = params.stationary_var
-    drive = np.empty(n)
-    drive[0] = rng.standard_normal() * np.sqrt(v)
-    drive[1:] = rng.standard_normal(n - 1) * np.sqrt(params.sigma2)
-    path = drive.tolist()
+    omega, xi = np.empty((n, len(rngs))), np.empty((n, len(rngs)))
+    for j, rng in enumerate(rngs):
+        omega[0, j] = rng.standard_normal() * np.sqrt(v)
+        omega[1:, j] = rng.standard_normal(n - 1) * np.sqrt(params.sigma2)
+        xi[:, j] = rng.standard_normal(n)
     g = params.g
-    for i in range(1, n):
-        path[i] += g * path[i - 1]
-    omega = np.array(path)
-    x = rng.standard_normal(n) * np.exp(omega - v)
+    steps = list(omega)   # row views, one per time step
+    for prev, row in zip(steps, steps[1:]):
+        row += g * prev
+    x = xi * np.exp(omega - v)
+    if not panel:
+        x, omega = x[:, 0], omega[:, 0]
     return (x, omega) if return_logvol else x
 
 

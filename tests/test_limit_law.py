@@ -326,6 +326,32 @@ def test_reduction_ratio(grid):
     assert abs(r1 / r2 - 1) < 0.01
 
 
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+       levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       scalar=st.booleans())
+@example(samples=[1.0, 2.0], levels=[0.0, 1.0, 0.5], scalar=False)
+@example(samples=[3.0], levels=[0.95], scalar=True)
+@example(samples=[-1.0, 0.0, 0.0, 7.5], levels=[1.0 / 3.0], scalar=True)
+@example(samples=[0.19, 0.8], levels=[0.5], scalar=True)   # the sides round apart at t = 1/2
+def test_law_quantile_is_np_quantile(samples, levels, scalar):
+    """The law reads np.quantile's linear rule off its sorted samples, bitwise."""
+    law = StatisticDistribution(kind="ks", samples=np.sort(samples), spectrum_digest="t",
+                                grid_m=10)
+    u = levels[0] if scalar else np.array(levels)
+    got, expected = law.quantile(u), np.quantile(law.samples, u)
+    assert type(got) is type(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_law_quantile_levels_lie_in_the_unit_interval():
+    law = StatisticDistribution(kind="cm", samples=np.arange(5.0), spectrum_digest="t",
+                                grid_m=10)
+    for bad in (-0.1, 1.5, np.nan, np.array([0.5, 2.0])):
+        with pytest.raises(ParameterError):
+            law.quantile(bad)
+
+
 def test_grid_refinement_stability():
     qs = {}
     for m in (256, 512):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ndtr, roots_hermite
+from scipy.special import ndtr, ndtri, roots_hermite
 
 from depgof import (
     Ar1LogVolParams,
@@ -255,6 +255,46 @@ def test_quantile_solve_checks_levels_and_fails_loudly(monkeypatch):
     monkeypatch.setattr(lognormal, "_NEWTON_STEPS", 1)
     with pytest.raises(NumericalError, match="did not converge"):
         basis.quantile(np.array([0.01, 0.3]))
+
+
+def _two_sided_bracket_quantile(basis, u):
+    """The solver as it was when the bracket also doubled hi where F(hi) < u, with
+    the CDF read at every level's lo and hi on each pass: the reference for the
+    one-sided bracket that reads it once per distinct lo."""
+    upper = u > 0.5
+    u = np.where(upper, 1.0 - u, u)
+    lo, hi = np.full(u.shape, -60.0), np.full(u.shape, 60.0)
+    for _ in range(60):
+        low_hi, high_lo = basis.cdf(hi) < u, basis.cdf(lo) > u
+        if not (low_hi.any() or high_lo.any()):
+            break
+        hi[low_hi] *= 2.0
+        lo[high_lo] *= 2.0
+    x = np.clip(ndtri(u), lo, hi)
+    scale = np.exp(-basis.s * basis._omega)
+    for _ in range(100):
+        z = x[:, None] * scale
+        resid = ndtr(z) @ basis._weights - u
+        density = (lognormal._phi(z) * scale) @ basis._weights
+        lo = np.where(resid < 0.0, x, lo)
+        hi = np.where(resid > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - resid / density
+        tol = 1e-13 + 4e-16 * np.abs(x)
+        small = np.abs(newton - x) <= tol
+        if np.all(small | (resid == 0.0) | (hi - lo <= tol)):
+            return np.where(upper, -1.0, 1.0) * np.where(small, newton, x)
+        inside = (newton > lo) & (newton < hi)
+        x = np.where(small | inside, np.clip(newton, lo, hi), 0.5 * (lo + hi))
+    raise AssertionError("the reference solver did not converge")
+
+
+@pytest.mark.parametrize("m", [10, 51, 100, 256])
+def test_one_sided_bracket_keeps_every_quantile(m):
+    u = QuantileGrid(m).points
+    for s in np.linspace(0.0, 3.5, 171):
+        basis = LogNormalVolBasis(s)
+        assert np.array_equal(basis.quantile(u), _two_sided_bracket_quantile(basis, u)), s
 
 
 def test_hermite_nodes_are_shared_read_only():

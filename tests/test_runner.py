@@ -23,6 +23,7 @@ from depgof import (
     empirical_copula,
     ingest_csv,
     parse_config_text,
+    reproduce,
     run_pipeline,
     standardize,
 )
@@ -508,6 +509,43 @@ def test_law_threads_do_not_change_artifacts(tmp_path):
 
 def _dir_bytes(path):
     return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_empirical_verb_chain_does_not_depend_on_threads(tmp_path):
+    # columns of distinct vol scales, so each gets its own leave-one-out target
+    rng = np.random.default_rng(23)
+    k = 7
+    values = rng.standard_normal((900, k)) * np.exp(
+        rng.standard_normal((900, k)) * np.linspace(0.1, 0.7, k))
+    data = tmp_path / "panel_in.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"c{j}" for j in range(k)) + "\n")
+        np.savetxt(fh, values, fmt="%.17g", delimiter=",")
+    outputs = []
+    for threads in (1, 2, 3):   # 40000 trials are three law chunks
+        out = tmp_path / f"t{threads}"
+        cfg = _write(tmp_path, f"t{threads}.cfg",
+                     f"model=empirical\ninput={data}\nt_max=9\ngrid_m=20\n"
+                     f"n_trials=40000\nthreads={threads}\noutdir={out}\n")
+        for verb in (["estimate"], ["kernel"], ["law", "--seed", "4"], ["test"]):
+            assert main([verb[0], "-c", cfg] + verb[1:]) == 0
+        outputs.append(_dir_bytes(out))
+    assert {"copula_t8.csv", "copula_t9.csv", "psi.csv", "results.jsonl"} <= set(outputs[0])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    config = PipelineConfig(model="empirical", grid_m=20, threads=3)
+    panel = standardize(PanelData(names=[f"c{j}" for j in range(k)], values=values))
+    assert len({q.tobytes() for q in _target_quantiles(config, panel)}) == k
+
+
+def test_reproduce_fig2_does_not_depend_on_threads(tmp_path):
+    outputs = []
+    for threads in (1, 2, 3):
+        config = PipelineConfig(n=500, replications=30, grid_m=20, n_trials=40_000,
+                                seed=8, threads=threads, outdir=str(tmp_path / f"t{threads}"))
+        reproduce("fig2", config)
+        outputs.append(_dir_bytes(tmp_path / f"t{threads}"))
+    assert {"panel.csv", "reduction_ratios.csv", "summary.json"} <= set(outputs[0])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance

@@ -9,6 +9,7 @@ from depgof import (
     Ar1LogVolParams,
     FgnLogVolParams,
     ParameterError,
+    PipelineConfig,
     QuantileGrid,
     StochasticVolParams,
     ar1_alpha,
@@ -20,6 +21,7 @@ from depgof import (
     gen_iid_lognormal_vol,
     self_copula_at_lag,
 )
+from depgof.runner import generate_panel
 
 AR1 = Ar1LogVolParams(g=0.88, sigma2=0.05)
 FGN = FgnLogVolParams(nu=0.4, sigma2=1.0)
@@ -67,6 +69,48 @@ def test_ar1_recursion_is_the_lfilter_path(g, sigma2, n, seed, spawned):
     assert omega.tobytes() == expected.tobytes()
     expected_x = rng.standard_normal(n) * np.exp(expected - params.stationary_var)
     assert x.tobytes() == expected_x.tobytes()
+
+
+def _per_series_ar1(params, n, seed):
+    """The AR(1) generator as it was, one series and one Python-float recursion
+    per call: the reference for the recursion over a panel's columns."""
+    rng = np.random.default_rng(seed)
+    v = params.stationary_var
+    drive = np.empty(n)
+    drive[0] = rng.standard_normal() * np.sqrt(v)
+    drive[1:] = rng.standard_normal(n - 1) * np.sqrt(params.sigma2)
+    path = drive.tolist()
+    for i in range(1, n):
+        path[i] += params.g * path[i - 1]
+    omega = np.array(path)
+    return rng.standard_normal(n) * np.exp(omega - v), omega
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=st.floats(0.0, 0.99), sigma2=st.floats(1e-4, 5.0), n=st.integers(2, 1200),
+       k=st.integers(1, 12), entropy=st.integers(0, 2 ** 32 - 1))
+@example(g=0.88, sigma2=0.05, n=2, k=1, entropy=0)
+@example(g=0.88, sigma2=0.05, n=1000, k=12, entropy=9101)
+def test_ar1_panel_is_the_per_series_generator(g, sigma2, n, k, entropy):
+    params = Ar1LogVolParams(g=g, sigma2=sigma2)
+    seeds = [np.random.SeedSequence(entropy=entropy, spawn_key=(1, j)) for j in range(k)]
+    x, omega = gen_ar1_logvol(params, n, seeds, return_logvol=True)
+    assert x.shape == omega.shape == (n, k)
+    for j, seed in enumerate(seeds):
+        x_j, omega_j = _per_series_ar1(params, n, seed)
+        assert x[:, j].tobytes() == x_j.tobytes()
+        assert omega[:, j].tobytes() == omega_j.tobytes()
+        # one seed is the panel of one column
+        assert gen_ar1_logvol(params, n, seed).tobytes() == x_j.tobytes()
+    assert gen_ar1_logvol(params, n, tuple(seeds)).tobytes() == x.tobytes()
+
+
+def test_ar1_generated_panel_is_the_per_series_generator():
+    config = PipelineConfig(model="ar1", n=700, replications=9, seed=31)
+    panel = generate_panel(config)
+    for j, (_, col) in enumerate(panel.columns()):
+        seed = np.random.SeedSequence(entropy=31, spawn_key=(1, j))
+        assert col.tobytes() == _per_series_ar1(AR1, 700, seed)[0].tobytes()
 
 
 def test_ar1_lag1_autocovariance():
