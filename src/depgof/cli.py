@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Each verb reads one ``runner`` stage's inputs back from the output
-directory, runs that stage (which writes its artifacts) and prints a
+Each verb reads its inputs back from the output directory with a ``runner``
+loader, runs its ``runner`` stage (which writes the artifacts) and prints a
 line; ``pipeline`` chains the stages in memory and writes the same files:
 
     depgof generate  -c cfg --seed S      synthesize a panel CSV
@@ -20,10 +20,8 @@ import os
 import sys
 from dataclasses import replace
 
-from . import kernels, runner
-from .copulas import PsiSurface
+from . import runner
 from .errors import ConfigError, DataError, NumericalError, ParameterError
-from .grid import QuantileGrid
 
 
 def _add_common(sub, seed_required=False):
@@ -43,23 +41,6 @@ def _load(args, preset=None):
     return config
 
 
-def _artifact(config, name, verb):
-    """Path of an artifact that an earlier verb must have written."""
-    path = os.path.join(config.outdir, name)
-    if not os.path.exists(path):
-        raise DataError(f"no {path}; run `depgof {verb}` first")
-    return path
-
-
-def _matrix(config, name, verb, kind):
-    """(path, m, lag, values) of a matrix artifact whose header kind must be ``kind``."""
-    path = _artifact(config, name, verb)
-    found, m, lag, values = runner.read_matrix(path)
-    if found != kind:
-        raise DataError(f"{path} holds a {found} artifact, not a {kind}")
-    return path, m, lag, values
-
-
 def cmd_generate(args):
     config = _load(args)
     panel = runner.generate_panel(config, outdir=config.outdir)
@@ -74,35 +55,22 @@ def cmd_estimate(args):
 
 def cmd_kernel(args):
     config = _load(args)
-    psi = None
-    if config.model == "empirical":
-        _, m, lag, values = _matrix(config, "psi.csv", "estimate", "psi")
-        psi = PsiSurface(grid=QuantileGrid(m), values=values, t_max=lag)
-    runner.build_kernel(config, config.n, psi=psi, outdir=config.outdir)
+    psi = runner.load_psi(config) if config.model == "empirical" else None
+    runner.build_kernel(config, psi=psi, outdir=config.outdir)
     print(f"wrote {config.outdir}/kernel.csv")
 
 
 def cmd_law(args):
     config = _load(args)
-    path, m, _, values = _matrix(config, "kernel.csv", "kernel", "kernel")
-    try:
-        kernel = kernels.KernelMatrix(grid=QuantileGrid(m), values=values)
-    except ParameterError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    spectrum = runner.diagonalize(kernel, outdir=config.outdir)
+    spectrum = runner.diagonalize(runner.load_kernel(config), outdir=config.outdir)
     runner.simulate_laws(spectrum, config, config.seed, outdir=config.outdir)
     print(f"wrote {config.outdir}/law_ks.csv and law_cm.csv ({config.n_trials} trials)")
 
 
 def cmd_test(args):
     config = _load(args)
-    panel = runner.load_panel(config)
-    dist_ks, dist_cm = (runner.read_distribution(_artifact(config, f"law_{k}.csv", "law"))
-                        for k in ("ks", "cm"))
-    for kind, law in (("ks", dist_ks), ("cm", dist_cm)):
-        if law.kind != kind:
-            raise DataError(f"{config.outdir}/law_{kind}.csv holds the {law.kind} law")
-    results = runner.test_panel(panel, config, dist_ks, dist_cm, outdir=config.outdir)
+    results = runner.test_panel(runner.load_panel(config), config, *runner.load_laws(config),
+                                outdir=config.outdir)
     rejected = sum(1 for r in results if r.cm_p < 0.05)
     print(f"wrote {config.outdir}/results.jsonl "
           f"({len(results)} series, {rejected} CM rejections at 5%)")

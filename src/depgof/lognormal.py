@@ -27,6 +27,7 @@ at them, are each cached on first use (a test needs only the quantiles)
 and are safe to share across threads read-only.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from .errors import NumericalError, ParameterError
 DEFAULT_QUADRATURE_NODES = 384
 _BRACKET_DOUBLINGS = 60
 _NEWTON_STEPS = 100
-_HERMITE = {}
 
 
 def _phi(z):
@@ -51,15 +51,14 @@ def _dphi(z):
     return -z * _phi(z)
 
 
+@functools.cache
 def _hermite(nodes):
     """Standard-normal Gauss-Hermite (nodes, weights), computed once per node count."""
-    if nodes not in _HERMITE:
-        t, w = roots_hermite(nodes)
-        omega, weights = math.sqrt(2.0) * t, w / math.sqrt(math.pi)
-        omega.flags.writeable = False
-        weights.flags.writeable = False
-        _HERMITE[nodes] = omega, weights
-    return _HERMITE[nodes]
+    t, w = roots_hermite(nodes)
+    omega, weights = math.sqrt(2.0) * t, w / math.sqrt(math.pi)
+    omega.flags.writeable = False
+    weights.flags.writeable = False
+    return omega, weights
 
 
 class LogNormalVolBasis:
@@ -71,8 +70,6 @@ class LogNormalVolBasis:
         self.s = float(s)
         self.nodes = int(nodes)
         self._omega, self._weights = _hermite(self.nodes)   # N(0,1) nodes
-        self._grid_quantiles = {}
-        self._grid_tables = {}
 
     def _expect(self, f, x):
         """E_w[f(x e^{-s w})] for each x, by Gauss-Hermite quadrature."""
@@ -126,25 +123,23 @@ class LogNormalVolBasis:
             x = np.where(small | inside, np.clip(newton, lo, hi), 0.5 * (lo + hi))
         raise NumericalError(f"marginal quantile did not converge in {_NEWTON_STEPS} steps")
 
+    @functools.cache
     def quantiles(self, grid):
         """Marginal quantiles F^{-1}(u_i) of the grid levels, solved once per grid
         and cached."""
-        if grid.m not in self._grid_quantiles:
-            q = self.quantile(grid.points)
-            q.flags.writeable = False
-            self._grid_quantiles[grid.m] = q
-        return self._grid_quantiles[grid.m]
+        q = self.quantile(grid.points)
+        q.flags.writeable = False
+        return q
 
+    @functools.cache
     def tables(self, grid):
         """(A, R) tabulated at the grid's cached quantiles, once per grid and cached;
         on an odd grid u = 1/2 is a node, where A = 0 and R = (2 pi)^{-1/2}."""
-        if grid.m not in self._grid_tables:
-            q = self.quantiles(grid)
-            a, r = self._expect(_dphi, q), self._expect(_phi, q)
-            a.flags.writeable = False
-            r.flags.writeable = False
-            self._grid_tables[grid.m] = a, r
-        return self._grid_tables[grid.m]
+        q = self.quantiles(grid)
+        a, r = self._expect(_dphi, q), self._expect(_phi, q)
+        a.flags.writeable = False
+        r.flags.writeable = False
+        return a, r
 
     def traces(self, grid):
         """(Tr A, Tr R) = quadrature of A^2 and R^2 on the grid."""
@@ -152,16 +147,13 @@ class LogNormalVolBasis:
         return grid.integrate(a * a), grid.integrate(r * r)
 
 
-_BASIS_CACHE = {}
-
-
 def get_basis(s=1.0):
-    """Shared basis at scale s with the default quadrature nodes; s=1 is the
-    reference.  Another node count needs its own LogNormalVolBasis."""
-    key = round(float(s), 12)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = LogNormalVolBasis(s=s)
-    return _BASIS_CACHE[key]
+    """Shared basis at scale float(s), exactly, with the default quadrature nodes;
+    s=1 is the reference.  Another node count needs its own LogNormalVolBasis."""
+    return _shared_basis(float(s))
+
+
+_shared_basis = functools.cache(LogNormalVolBasis)
 
 
 def vol_model_cdf(x, s):

@@ -9,10 +9,14 @@ comments).  Each stage takes its inputs as objects and, given an
     simulate_laws   law_{ks,cm}<suffix>.csv        test_panel     results.jsonl
 
 ``run_pipeline`` and ``reproduce`` chain the stages in memory; each CLI
-verb reads one stage's inputs back from the outdir, so ``pipeline`` and
-the verb chain write the same bytes.  Matrices are CSV rows under a
-one-line header ``# depgof <kind> m=<M> lag=<t>``, laws single-column
-sorted samples, results one JSON object per line (name, ks, cm, p_ks, p_cm).
+verb reads a stage's inputs back from the outdir with the loaders next to
+the writers (``load_panel``, ``load_psi``, ``load_kernel``, ``load_laws``),
+so ``pipeline`` and the verb chain write the same bytes.  A loader refuses
+an artifact of another header kind or grid, and a generated panel that is
+not n x replications, with a DataError naming the file.  Matrices are CSV
+rows under a one-line header ``# depgof <kind> m=<M> lag=<t>``, laws
+single-column sorted samples, results one JSON object per line (name, ks,
+cm, p_ks, p_cm).
 ``test_panel`` reads each column's empirical CDF at its target's quantiles
 of the grid levels, so the target CDF is never evaluated at the samples.
 
@@ -36,7 +40,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import copulas, kernels, limit_law, lognormal, sampling
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParameterError
 from .grid import QuantileGrid
 
 _MODELS = ("empirical", "ar1", "fgn", "iid")
@@ -265,18 +269,19 @@ def write_distribution(path, dist):
         _write_rows(fh, dist.samples[:, None])
 
 
-def read_distribution(path):
+def read_distribution(path, kind):
+    """The ``kind`` ("ks" or "cm") statistic law of a law_<kind> artifact."""
     with open(path, encoding="utf-8") as fh:
-        kind, m, _ = _parse_header(path, fh.readline().strip())
-        if not kind.startswith("law_"):
-            raise DataError(f"{path}: not a statistic-distribution artifact ({kind})")
+        found, m, _ = _parse_header(path, fh.readline().strip())
+        if found != f"law_{kind}":
+            raise DataError(f"{path} holds a {found} artifact, not a law_{kind}")
         start = fh.tell()
         if not any(line.strip() for line in fh):
             raise DataError(f"{path}: no data rows")
         fh.seek(start)
         try:
             return limit_law.StatisticDistribution(
-                kind=kind[4:], samples=np.sort(np.loadtxt(fh, ndmin=1)),
+                kind=kind, samples=np.sort(np.loadtxt(fh, ndmin=1)),
                 spectrum_digest=f"file:{os.path.basename(path)}", grid_m=m)
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}: {exc}") from None
@@ -286,6 +291,60 @@ def write_results(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def _artifact(config, name, verb):
+    """Path of the outdir artifact ``name``, which `depgof <verb>` writes."""
+    path = os.path.join(config.outdir, name)
+    if not os.path.exists(path):
+        raise DataError(f"no {path}; run `depgof {verb}` first")
+    return path
+
+
+def _grid_matrix(config, name, verb, kind):
+    """(path, lag, values) of a ``kind`` matrix artifact on the config's grid."""
+    path = _artifact(config, name, verb)
+    found, m, lag, values = read_matrix(path)
+    if (found, m) != (kind, config.grid_m):
+        raise DataError(f"{path} holds a {found} artifact of m={m}, not a {kind} of "
+                        f"grid_m={config.grid_m}")
+    return path, lag, values
+
+
+def load_panel(config):
+    """The panel to estimate from and test: the standardized ``input`` for the
+    empirical model, else the n x replications panel.csv that generate_panel
+    wrote to outdir."""
+    if config.model == "empirical":
+        if not config.input:
+            raise ConfigError("empirical model requires input=<panel.csv>")
+        return standardize(ingest_csv(config.input))
+    path = _artifact(config, "panel.csv", "generate")
+    panel = ingest_csv(path)
+    if panel.values.shape != (config.n, config.replications):
+        raise DataError(f"{path} is {panel.n} x {len(panel.names)}; the config has "
+                        f"n x replications = {config.n} x {config.replications}")
+    return panel
+
+
+def load_psi(config):
+    """The PsiSurface that estimate_psi wrote to outdir."""
+    _, lag, values = _grid_matrix(config, "psi.csv", "estimate", "psi")
+    return copulas.PsiSurface(grid=QuantileGrid(config.grid_m), values=values, t_max=lag)
+
+
+def load_kernel(config):
+    """The KernelMatrix that build_kernel wrote to outdir."""
+    path, _, values = _grid_matrix(config, "kernel.csv", "kernel", "kernel")
+    try:
+        return kernels.KernelMatrix(grid=QuantileGrid(config.grid_m), values=values)
+    except ParameterError as exc:   # e.g. asymmetric values: a fault of the file
+        raise DataError(f"{path}: {exc}") from None
+
+
+def load_laws(config):
+    """The (KS, CM) laws that simulate_laws wrote to outdir."""
+    return [read_distribution(_artifact(config, f"law_{k}.csv", "law"), k) for k in ("ks", "cm")]
 
 
 # --- pipeline stages -------------------------------------------------------
@@ -305,19 +364,6 @@ def _model(config):
     if config.model == "iid":
         return sampling.StochasticVolParams(config.s), sampling.gen_iid_lognormal_vol
     raise ConfigError("the empirical model has no generator; use ar1, fgn or iid")
-
-
-def load_panel(config):
-    """The panel to estimate from and test: the standardized ``input`` for the
-    empirical model, else the panel.csv that generate_panel wrote to outdir."""
-    if config.model == "empirical":
-        if not config.input:
-            raise ConfigError("empirical model requires input=<panel.csv>")
-        return standardize(ingest_csv(config.input))
-    path = os.path.join(config.outdir, "panel.csv")
-    if not os.path.exists(path):
-        raise DataError(f"no generated panel at {path}; run `depgof generate` first")
-    return ingest_csv(path)
 
 
 def generate_panel(config, outdir=None):
@@ -368,7 +414,7 @@ def estimate_psi(panel, config, outdir=None):
     return psi
 
 
-def build_kernel(config, n, psi=None, outdir=None):
+def build_kernel(config, psi=None, outdir=None):
     """Psi-based kernel for the empirical model, analytic otherwise; writes kernel.csv."""
     grid = QuantileGrid(config.grid_m)
     if config.model == "empirical":
@@ -380,7 +426,7 @@ def build_kernel(config, n, psi=None, outdir=None):
     elif config.model == "ar1":
         kernel = kernels.build_kernel_ar1(_model(config)[0], grid)
     else:
-        kernel = kernels.build_kernel_fgn(_model(config)[0], n, grid)
+        kernel = kernels.build_kernel_fgn(_model(config)[0], config.n, grid)
     if outdir:
         write_matrix(os.path.join(outdir, "kernel.csv"), "kernel", kernel.values)
     return kernel
@@ -425,10 +471,6 @@ def _target_quantiles(config, panel):
         s2 = [max((total - v) / max(1, k - 1), 0.0) for v in own]
     scales = [math.sqrt(v) for v in s2]
     distinct = list(dict.fromkeys(scales))
-    # create the shared bases in column order, as a serial solve would, so that
-    # the worker order cannot pick which scale a basis takes
-    for s in distinct:
-        lognormal.get_basis(s)
     solved = dict(zip(distinct, _map(
         config.threads, lambda s: lognormal.vol_model_quantiles(grid, s), distinct)))
     return [solved[s] for s in scales]
@@ -468,7 +510,7 @@ def run_pipeline(config):
         psi = estimate_psi(panel, config, outdir=outdir)
     else:
         panel = generate_panel(config, outdir=outdir)
-    kernel = build_kernel(config, panel.n, psi=psi, outdir=outdir)
+    kernel = build_kernel(config, psi=psi, outdir=outdir)
     dist_ks, dist_cm = simulate_laws(diagonalize(kernel, outdir=outdir), config,
                                      config.seed, outdir=outdir)
     return test_panel(panel, config, dist_ks, dist_cm, outdir=outdir)
@@ -496,8 +538,8 @@ def reproduce(which, config):
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
     panel = generate_panel(config, outdir=outdir)
-    spectrum = diagonalize(build_kernel(config, config.n, outdir=outdir))
-    iid_spectrum = diagonalize(build_kernel(replace(config, model="iid"), config.n))
+    spectrum = diagonalize(build_kernel(config, outdir=outdir))
+    iid_spectrum = diagonalize(build_kernel(replace(config, model="iid")))
     corr_ks, corr_cm = simulate_laws(spectrum, config, config.seed, outdir, "_corrected")
     iid_ks, iid_cm = simulate_laws(iid_spectrum, config, config.seed + 1, outdir, "_iid")
 

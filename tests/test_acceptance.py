@@ -136,9 +136,9 @@ def test_criterion_05_ar1_pvalue_uniformity():
     iid_ks, iid_cm = simulate_statistic_distribution(iid_spec, 1_000_000, seed=104)
     q = vol_model_quantiles(GRID, s_model)
     p = {"iid_ks": [], "iid_cm": [], "corr_ks": [], "corr_cm": []}
-    for r in range(350):
-        x = gen_ar1_logvol(params, 2500,
-                           np.random.SeedSequence(entropy=0, spawn_key=(r,)))
+    panel = gen_ar1_logvol(params, 2500, [np.random.SeedSequence(entropy=0, spawn_key=(r,))
+                                          for r in range(350)])
+    for x in panel.T:
         res_i = run_gof_test(x, q, iid_ks, iid_cm)
         res_c = run_gof_test(x, q, corr_ks, corr_cm)
         p["iid_ks"].append(res_i.ks_p)

@@ -172,8 +172,8 @@ def test_self_copula_time_reversal_transposes(grid):
 def test_ar1_diagonal_excess_positive_in_both_tails():
     grid = QuantileGrid(20)
     params = Ar1LogVolParams(0.88, 0.05)
-    panel = [gen_ar1_logvol(params, 2500, seed=200 + r) for r in range(30)]
-    surf = average_self_copula(panel, 1, grid)
+    panel = gen_ar1_logvol(params, 2500, [200 + r for r in range(30)])
+    surf = average_self_copula(panel.T, 1, grid)
     u = grid.points
     excess = np.diagonal(surf.values) - u * u
     assert excess[1] > 0 and excess[-2] > 0

@@ -253,8 +253,9 @@ def test_quantile_route_matches_the_cdf_route_on_a_fig2_panel(grid):
     s = math.sqrt(params.stationary_var)
     q = vol_model_quantiles(grid, s)
     law_ks, law_cm = _dist("ks", [0.5, 1.0, 2.0]), _dist("cm", [0.1, 0.3, 1.0])
-    for j in range(350):
-        x = gen_ar1_logvol(params, 1000, np.random.SeedSequence(entropy=1, spawn_key=(1, j)))
+    panel = gen_ar1_logvol(params, 1000, [np.random.SeedSequence(entropy=1, spawn_key=(1, j))
+                                          for j in range(350)])
+    for x in panel.T:
         res = run_gof_test(x, q, law_ks, law_cm)
         by_cdf = np.searchsorted(np.sort(vol_model_cdf(x, s)), grid.points, side="right") / x.size
         by_q = np.searchsorted(np.sort(x), q, side="right") / x.size

@@ -177,8 +177,8 @@ def test_fit_recovers_ar1_log_vol_covariance():
     grid = QuantileGrid(50)
     params = Ar1LogVolParams(0.88, 0.05)
     model_basis = get_basis(math.sqrt(params.stationary_var))
-    panel = [gen_ar1_logvol(params, 2500, seed=300 + r) for r in range(50)]
-    surf = average_self_copula(panel, 1, grid)
+    panel = gen_ar1_logvol(params, 2500, [300 + r for r in range(50)])
+    surf = average_self_copula(panel.T, 1, grid)
     fitted, _ = fit_lag_coefficients(surf, basis=model_basis)
     assert abs(fitted.alpha - 0.195) < 0.03
     assert abs(fitted.beta) < 0.03
@@ -306,3 +306,13 @@ def test_hermite_nodes_are_shared_read_only():
     x = np.linspace(-4.0, 4.0, 33)
     own = ndtr(x[:, None] * np.exp(-0.3 * (math.sqrt(2.0) * t))) @ (w / math.sqrt(math.pi))
     assert np.array_equal(b1.cdf(x), own)
+
+
+def test_shared_bases_are_keyed_by_the_exact_scale():
+    s = 0.3
+    near = float(np.nextafter(s, 2.0))
+    basis, neighbour = get_basis(s), get_basis(near)
+    assert basis is not neighbour
+    assert (basis.s, neighbour.s) == (s, near)
+    assert get_basis(np.float64(s)) is basis
+    assert get_basis() is get_basis(1) is get_basis(1.0)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -7,6 +8,8 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ from depgof import (
     reproduce,
     run_pipeline,
     standardize,
+    vol_model_quantiles,
 )
 from depgof.cli import main
 from depgof.limit_law import _chunk_rng
@@ -166,7 +170,7 @@ def test_distribution_artifact_roundtrip(tmp_path):
                                  grid_m=64)
     path = str(tmp_path / "law.csv")
     write_distribution(path, dist)
-    loaded = read_distribution(path)
+    loaded = read_distribution(path, "cm")
     assert loaded.kind == "cm"
     assert loaded.grid_m == 64
     assert np.array_equal(loaded.samples, samples)
@@ -209,10 +213,10 @@ def test_bad_artifact_header(tmp_path):
         (read_matrix, "# depgof eigenvalues m=2 lag=0\n1,2\n2,1\n"),    # one row expected
         (read_matrix, "# depgof kernel m=2 lag=0\n"),                     # header only
         (read_matrix, "# depgof kernel m=2 lag=0\n\n\n"),                 # blank lines only
-        (read_distribution, "# depgof law_ks m=20 lag=0\n0.5\nabc\n"),
-        (read_distribution, "# depgof law_cm m=20 lag=0\n"),               # empty law
-        (read_distribution, "# depgof law_cm m=20 lag=0\n0.1\nnan\n"),
-        (read_distribution, "# depgof law_ks m=20 lag=0\n0.1 0.2\n0.3 0.4\n"),
+        (partial(read_distribution, kind="ks"), "# depgof law_ks m=20 lag=0\n0.5\nabc\n"),
+        (partial(read_distribution, kind="cm"), "# depgof law_cm m=20 lag=0\n"),  # empty law
+        (partial(read_distribution, kind="cm"), "# depgof law_cm m=20 lag=0\n0.1\nnan\n"),
+        (partial(read_distribution, kind="ks"), "# depgof law_ks m=20 lag=0\n0.1 0.2\n0.3 0.4\n"),
     ]
     for i, (reader, text) in enumerate(cases):
         path = _write(tmp_path, f"bad{i}.csv", text)
@@ -428,6 +432,68 @@ def test_cli_test_refuses_laws_of_another_grid(tmp_path, capsys):
     assert main(["test", "-c", cfg]) == 3
     assert "grid_m=20" in capsys.readouterr().err
     assert not (out / "results.jsonl").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+def test_cli_refuses_a_generated_panel_of_another_length(tmp_path, capsys):
+    out = tmp_path / "fgn"
+    text = f"model=fgn\nreplications=3\ngrid_m=15\nn_trials=2000\noutdir={out}\n"
+    short = _write(tmp_path, "short.cfg", text + "n=300\n")
+    long = _write(tmp_path, "long.cfg", text + "n=400\n")
+    assert main(["generate", "-c", short, "--seed", "5"]) == 0
+    for verb in (["kernel"], ["law", "--seed", "6"]):   # neither reads the panel
+        assert main([verb[0], "-c", long] + verb[1:]) == 0
+    capsys.readouterr()
+    assert main(["test", "-c", long]) == 3
+    err = capsys.readouterr().err
+    assert "panel.csv" in err and "300 x 3" in err and "400 x 3" in err
+    assert not (out / "results.jsonl").exists()
+
+
+def test_cli_refuses_psi_and_kernel_of_another_grid(tmp_path, capsys):
+    rng = np.random.default_rng(31)
+    rows = ["a,b,c"] + [",".join(f"{v:.10g}" for v in r) for r in rng.standard_normal((400, 3))]
+    data = _write(tmp_path, "in.csv", "\n".join(rows) + "\n")
+    out = tmp_path / "e"
+    text = f"model=empirical\ninput={data}\nt_max=3\nn_trials=2000\noutdir={out}\n"
+    m15 = _write(tmp_path, "m15.cfg", text + "grid_m=15\n")
+    m20 = _write(tmp_path, "m20.cfg", text + "grid_m=20\n")
+    assert main(["estimate", "-c", m15]) == 0
+    assert main(["kernel", "-c", m15]) == 0
+    kernel = (out / "kernel.csv").read_bytes()
+    for verb, name in ((["kernel"], "psi.csv"), (["law", "--seed", "6"], "kernel.csv")):
+        capsys.readouterr()
+        assert main([verb[0], "-c", m20] + verb[1:]) == 3
+        err = capsys.readouterr().err
+        assert name in err and "m=15" in err and "grid_m=20" in err
+    assert (out / "kernel.csv").read_bytes() == kernel
+    assert not (out / "law_ks.csv").exists()
+
+
+def test_cli_imports_only_runner_and_errors_from_depgof():
+    # artifact names, kinds and pairing checks belong to runner; the CLI knows verbs
+    path = Path(__file__).resolve().parents[1] / "src" / "depgof" / "cli.py"
+    names = set()   # every imported name, dotted in full: depgof.errors.DataError
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = ["depgof"] * bool(node.level) + [node.module] * bool(node.module)
+            names.update(".".join(package + [a.name]) for a in node.names)
+    assert {n.split(".")[1] for n in names if n.startswith("depgof.")} == {"runner", "errors"}
+
+
+def test_target_s2_fixes_the_scale_of_every_column():
+    rng = np.random.default_rng(29)
+    values = rng.standard_normal((600, 5)) * np.exp(
+        rng.standard_normal((600, 5)) * np.linspace(0.1, 0.7, 5))
+    panel = standardize(PanelData(names=list("abcde"), values=values))
+    config = PipelineConfig(model="empirical", grid_m=20, target_s2=0.09, threads=2)
+    expected = vol_model_quantiles(QuantileGrid(20), 0.3).tobytes()
+    assert [q.tobytes() for q in _target_quantiles(config, panel)] == [expected] * 5
+    # unset, each column takes its own leave-one-out scale instead
+    auto = _target_quantiles(replace(config, target_s2=-1.0), panel)
+    assert len({q.tobytes() for q in auto} | {expected}) == 6
 
 
 def test_tracer_names_exist():
