@@ -9,8 +9,8 @@ line; ``pipeline`` chains the stages in memory and writes the same files:
     depgof kernel    -c cfg               covariance kernel (Psi-based or analytic)
     depgof law       -c cfg --seed S      spectrum and Monte-Carlo statistic laws
     depgof test      -c cfg               per-series GoF results (JSONL)
-    depgof pipeline  -c cfg               all stages in one run
-    depgof reproduce fig2|fig3 -c cfg     the synthetic benchmark experiments
+    depgof pipeline  -c cfg [--seed S]    all stages in one run
+    depgof reproduce fig2|fig3 -c cfg [--seed S]   the synthetic experiments
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical error.
 """
@@ -24,18 +24,19 @@ from . import runner
 from .errors import ConfigError, DataError, NumericalError, ParameterError
 
 
-def _add_common(sub, seed_required=False):
+def _add_common(sub, seed):
     sub.add_argument("-c", "--config", required=True, help="key=value config file")
     sub.add_argument("--outdir", help="override the configured output directory")
-    sub.add_argument("--seed", type=int, required=seed_required,
-                     help="master seed" + (" (required)" if seed_required else ""))
+    if seed:   # only the verbs that draw random numbers take a seed
+        sub.add_argument("--seed", type=int, required=seed == "required",
+                         help=f"master seed ({seed})")
 
 
 def _load(args, preset=None):
     config = runner.load_config(args.config, preset)
     if args.outdir:
         config = replace(config, outdir=args.outdir)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
     os.makedirs(config.outdir, exist_ok=True)
     return config
@@ -94,20 +95,20 @@ def build_parser():
         prog="depgof",
         description="goodness-of-fit tests that stay valid for dependent observations")
     subs = parser.add_subparsers(dest="verb", required=True)
-    for verb, fn, seed_required in (
-        ("generate", cmd_generate, True),
-        ("estimate", cmd_estimate, False),
-        ("kernel", cmd_kernel, False),
-        ("law", cmd_law, True),
-        ("test", cmd_test, False),
-        ("pipeline", cmd_pipeline, False),
+    for verb, fn, seed in (
+        ("generate", cmd_generate, "required"),
+        ("estimate", cmd_estimate, None),
+        ("kernel", cmd_kernel, None),
+        ("law", cmd_law, "required"),
+        ("test", cmd_test, None),
+        ("pipeline", cmd_pipeline, "optional"),
     ):
         sub = subs.add_parser(verb)
-        _add_common(sub, seed_required=seed_required)
+        _add_common(sub, seed)
         sub.set_defaults(fn=fn)
     sub = subs.add_parser("reproduce")
     sub.add_argument("experiment", choices=["fig2", "fig3"])
-    _add_common(sub)
+    _add_common(sub, "optional")
     sub.set_defaults(fn=cmd_reproduce)
     return parser
 

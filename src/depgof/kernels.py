@@ -52,6 +52,8 @@ class KernelMatrix:
         if self.values.shape != (m, m):
             raise ParameterError(
                 f"kernel shape {self.values.shape} does not match grid m={m}")
+        if not np.isfinite(self.values).all():   # NaN would pass the symmetry check
+            raise ParameterError("kernel has a value that is not finite")
         asym = np.abs(self.values - self.values.T).max()
         if asym > 1e-12:
             raise ParameterError(f"kernel is not symmetric (max asymmetry {asym:.2e})")

@@ -16,7 +16,9 @@ an artifact of another header kind or grid, and a generated panel that is
 not n x replications, with a DataError naming the file.  Matrices are CSV
 rows under a one-line header ``# depgof <kind> m=<M> lag=<t>``, laws
 single-column sorted samples, results one JSON object per line (name, ks,
-cm, p_ks, p_cm).
+cm, p_ks, p_cm).  Every numeric CSV is written by ``_write_csv`` and read,
+input panels included, by ``_read_rows``, which refuses a cell that does not
+parse or is not finite with a DataError naming the file, row and column.
 ``test_panel`` reads each column's empirical CDF at its target's quantiles
 of the grid levels, so the target CDF is never evaluated at the samples.
 
@@ -28,7 +30,6 @@ in a fixed order, so it changes no result.  All stages are deterministic
 given the config and seed.
 """
 
-import io
 import json
 import math
 import os
@@ -67,7 +68,7 @@ class PipelineConfig:
     nu: float = 0.4
     s: float = 0.5
     target: str = "volmodel"
-    target_s2: float = -1.0   # <0 = auto (model value, or leave-one-out calibration)
+    target_s2: float = -1.0   # >=0 fixes s^2; <0 = model V[omega], or leave-one-out
     threads: int = 1
     input: str = ""
     outdir: str = "depgof-out"
@@ -77,6 +78,8 @@ class PipelineConfig:
             raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.target not in _TARGETS:
             raise ConfigError(f"target must be one of {_TARGETS}, got {self.target!r}")
+        if self.target == "gaussian" and self.target_s2 >= 0.0:
+            raise ConfigError("target_s2 >= 0 sets a volmodel scale; target = gaussian has none")
         if self.grid_m < 10:
             raise ConfigError(f"grid_m must be >= 10, got {self.grid_m}")
         if self.t_max < 0:
@@ -162,38 +165,19 @@ def ingest_csv(path):
     if not os.path.exists(path):
         raise DataError(f"input file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    names = [c.strip() for c in lines[0].split(",")]
-    empty = [j + 1 for j, name in enumerate(names) if not name]
-    if empty:
-        raise DataError(f"{path}: empty column name at header position(s) {empty}")
-    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
-    if repeated:
-        raise DataError(f"{path}: repeated column name(s) {repeated}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise DataError(f"{path}: row {lineno} has {len(cells)} cells, expected {len(names)}")
-        parsed = []
-        for j, cell in enumerate(cells):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {lineno}, column {names[j]!r}: "
-                    f"cannot parse {cell.strip()!r} as a number") from None
-        rows.append(parsed)
-    if len(rows) < 2:
+        header = fh.readline()
+        if not header:
+            raise DataError(f"{path}: empty file")
+        names = [c.strip() for c in header.split(",")]
+        empty = [j + 1 for j, name in enumerate(names) if not name]
+        if empty:
+            raise DataError(f"{path}: empty column name at header position(s) {empty}")
+        repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+        if repeated:
+            raise DataError(f"{path}: repeated column name(s) {repeated}")
+        values = _read_rows(path, fh, names)
+    if len(values) < 2:
         raise DataError(f"{path}: fewer than 2 data rows")
-    values = np.array(rows, dtype=float)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        raise DataError(f"{path}: row {i + 2}, column {names[j]!r}: "
-                        f"non-finite value {values[i, j]}")
     return PanelData(names=names, values=values)
 
 
@@ -209,25 +193,58 @@ def standardize(panel):
 
 # --- artifact IO -----------------------------------------------------------
 
-def _write_rows(fh, values):
-    """Rows of a 2-D array as comma-separated %.17g, the bytes np.savetxt writes,
-    _WRITE_BLOCK // columns rows per string operation: a whole array at once
-    would add its text and a tuple of floats to peak memory."""
+def _write_csv(path, header, values):
+    """The line ``header``, then the rows of a 2-D array as comma-separated %.17g,
+    the bytes np.savetxt writes, _WRITE_BLOCK // columns rows per string
+    operation: a whole array at once would add its text to peak memory."""
     rows, cols = values.shape
     step = max(1, _WRITE_BLOCK // cols)
     line = ",".join(["%.17g"] * cols) + "\n"
-    for start in range(0, rows, step):
-        block = values[start:start + step]
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for start in range(0, rows, step):
+            block = values[start:start + step]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _read_rows(path, fh, columns):
+    """The rows after the header line ``fh`` has read, as a (rows, len(columns))
+    float array.  One streaming np.loadtxt reads a well-formed file; any other
+    is walked with float(), which keeps what float() reads (say ``1_000``) and
+    names the row and the ``columns`` label of a cell refused or not finite."""
+    start = fh.tell()
+    if not any(line.strip() for line in fh):
+        raise DataError(f"{path}: no data rows")
+    fh.seek(start)
+    try:
+        values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        if values.shape[1] == len(columns) and np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    fh.seek(start)
+    cells_read = []
+    for lineno, line in enumerate(fh, start=2):
+        cells = line.split(",") if line.strip() else []   # a blank line has none
+        if cells and len(cells) != len(columns):
+            raise DataError(f"{path}: row {lineno} has {len(cells)} cells, "
+                            f"expected {len(columns)}")
+        for label, cell in zip(columns, cells):
+            try:
+                cells_read.append(float(cell))
+            except ValueError:
+                cells_read.append(math.nan)
+            if not math.isfinite(cells_read[-1]):
+                raise DataError(f"{path}: row {lineno}, column {label!r}: "
+                                f"{cell.strip()!r} is not a finite number")
+    return np.array(cells_read).reshape(-1, len(columns))
 
 
 def write_matrix(path, kind, values, lag=0):
     """Matrix artifact: the header ``# depgof <kind> m=<M> lag=<lag>``, M the
     column count, then one CSV row per matrix row (a 1-D array is one row)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# depgof {kind} m={values.shape[1]} lag={lag}\n")
-        _write_rows(fh, values)
+    _write_csv(path, f"# depgof {kind} m={values.shape[1]} lag={lag}", values)
 
 
 def _parse_header(path, header):
@@ -246,15 +263,7 @@ def read_matrix(path):
     m rows (one row for eigenvalues)."""
     with open(path, encoding="utf-8") as fh:
         kind, m, lag = _parse_header(path, fh.readline().strip())
-        text = fh.read()
-    if not text.strip():
-        raise DataError(f"{path}: no data rows")
-    try:
-        values = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    if values.shape[1] != m:
-        raise DataError(f"{path}: {values.shape[1]} columns, but the header says m={m}")
+        values = _read_rows(path, fh, range(1, m + 1))
     rows = 1 if kind == "eigenvalues" else m
     if values.shape[0] != rows:
         raise DataError(f"{path}: {values.shape[0]} rows, but a {kind} artifact "
@@ -264,9 +273,7 @@ def read_matrix(path):
 
 def write_distribution(path, dist):
     """One sample a line as %.17g, the bytes np.savetxt writes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# depgof law_{dist.kind} m={dist.grid_m} lag=0\n")
-        _write_rows(fh, dist.samples[:, None])
+    _write_csv(path, f"# depgof law_{dist.kind} m={dist.grid_m} lag=0", dist.samples[:, None])
 
 
 def read_distribution(path, kind):
@@ -275,16 +282,9 @@ def read_distribution(path, kind):
         found, m, _ = _parse_header(path, fh.readline().strip())
         if found != f"law_{kind}":
             raise DataError(f"{path} holds a {found} artifact, not a law_{kind}")
-        start = fh.tell()
-        if not any(line.strip() for line in fh):
-            raise DataError(f"{path}: no data rows")
-        fh.seek(start)
-        try:
-            return limit_law.StatisticDistribution(
-                kind=kind, samples=np.sort(np.loadtxt(fh, ndmin=1)),
-                spectrum_digest=f"file:{os.path.basename(path)}", grid_m=m)
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{path}: {exc}") from None
+        samples = np.sort(_read_rows(path, fh, [f"law_{kind}"])[:, 0])
+    return limit_law.StatisticDistribution(kind=kind, samples=samples, grid_m=m,
+                                           spectrum_digest=f"file:{os.path.basename(path)}")
 
 
 def write_results(path, rows):
@@ -378,9 +378,7 @@ def generate_panel(config, outdir=None):
         values = np.column_stack([generate(params, n, seed) for seed in seeds])
     panel = PanelData(names=[f"s{j:04d}" for j in range(reps)], values=values)
     if outdir:
-        with open(os.path.join(outdir, "panel.csv"), "w", encoding="utf-8") as fh:
-            fh.write(",".join(panel.names) + "\n")
-            _write_rows(fh, panel.values)
+        _write_csv(os.path.join(outdir, "panel.csv"), ",".join(panel.names), panel.values)
     return panel
 
 
@@ -460,10 +458,10 @@ def _target_quantiles(config, panel):
     k = len(panel.names)
     if config.target == "gaussian":
         return [ndtri(grid.points)] * k
-    if config.model != "empirical":
-        s2 = [_model(config)[0].stationary_var] * k
-    elif config.target_s2 >= 0.0:
+    if config.target_s2 >= 0.0:
         s2 = [config.target_s2] * k
+    elif config.model != "empirical":
+        s2 = [_model(config)[0].stationary_var] * k
     else:
         # leave-one-out calibration: each column gets the average s^2 of the others
         own = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
@@ -554,9 +552,7 @@ def reproduce(which, config):
         [limit_law.reduction_ratio(corr_ks, iid_ks, u) for u in levels],
         [limit_law.reduction_ratio(corr_cm, iid_cm, u) for u in levels],
     ])
-    with open(os.path.join(outdir, "reduction_ratios.csv"), "w", encoding="utf-8") as fh:
-        fh.write("level,ratio_ks,ratio_cm\n")
-        _write_rows(fh, ratios)
+    _write_csv(os.path.join(outdir, "reduction_ratios.csv"), "level,ratio_ks,ratio_cm", ratios)
 
     summary = {"experiment": which, "model": config.model,
                "replications": config.replications, "n": config.n}

@@ -177,6 +177,16 @@ def test_kernel_requires_symmetry(grid):
         KernelMatrix(grid=grid, values=values)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cell", [(3, 7), (4, 4)])
+def test_kernel_refuses_non_finite_values(grid, value, cell):
+    # a symmetric pair: NaN passes a symmetry check alone and reaches eigh
+    values = _bridge_values(grid)
+    values[cell] = values[cell[::-1]] = value
+    with pytest.raises(ParameterError, match="not finite"):
+        KernelMatrix(grid=grid, values=values)
+
+
 def test_eigendecompose_bridge(grid):
     spec = eigendecompose(brownian_bridge_kernel(grid))
     j = np.arange(1, 6)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
@@ -35,7 +37,7 @@ from depgof.cli import main
 from depgof.limit_law import _chunk_rng
 from depgof.runner import (
     _target_quantiles,
-    _write_rows,
+    _write_csv,
     estimate_psi,
     generate_panel,
     read_distribution,
@@ -102,6 +104,29 @@ def test_ingest_ragged_and_missing(tmp_path):
         ingest_csv(str(tmp_path / "absent.csv"))
 
 
+# finite doubles, extremes included, as a writer might spell them: repr, %.17g
+# or %.6e, with padding spaces
+_CELL = st.builds(
+    lambda x, spell, left, right: " " * left + spell(x) + " " * right,
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, 1e-300, 1.7976931348623157e308]),
+    st.sampled_from([repr, "%.17g".__mod__, "%.6e".__mod__]),
+    st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(
+           lambda k: st.lists(st.lists(_CELL, min_size=k, max_size=k), min_size=2, max_size=6)),
+       eol=st.sampled_from(["\n", "\r\n"]))
+@example(rows=[["1_000", " 2.5"], ["-0.0", "5e-324 "]], eol="\r\n")   # numpy refuses 1_000
+def test_ingest_reads_what_float_reads(tmp_path_factory, rows, eol):
+    path = tmp_path_factory.getbasetemp() / "float_reference.csv"
+    names = [f"c{j}" for j in range(len(rows[0]))]
+    path.write_bytes(eol.join([",".join(names)] + [",".join(r) for r in rows] + [""]).encode())
+    expected = np.array([[float(cell) for cell in row] for row in rows])
+    assert ingest_csv(str(path)).values.tobytes() == expected.tobytes()
+
+
 def test_standardize():
     panel = PanelData(names=["x"], values=np.array([[1.0], [2.0], [3.0]]))
     out = standardize(panel)
@@ -150,6 +175,10 @@ def test_config_parsing_and_validation():
     for line in ("seed=-1", "replications=0", "threads=0", "threads=-4"):
         with pytest.raises(ConfigError, match=line.split("=")[0]):
             parse_config_text(line + "\n")
+    # a gaussian target has no scale to fix
+    with pytest.raises(ConfigError, match="target_s2.*target = gaussian"):
+        parse_config_text("target = gaussian\ntarget_s2 = 0.09\n")
+    assert parse_config_text("target = gaussian\ntarget_s2 = -1\n").target == "gaussian"
 
 
 def test_matrix_artifact_roundtrip(tmp_path):
@@ -191,14 +220,15 @@ def test_distribution_artifact_bytes_match_savetxt(tmp_path):
     np.savetxt(expected, samples, fmt="%.17g")
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
-    # the same row writer serves panels, kernels and eigenvalue rows
+    # the same writer serves panels, kernels and eigenvalue rows
     for shape in ((300, 50), (100, 100), (1, 100)):   # 300 x 50 spans two blocks
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
         values.flat[:len(special)] = special
-        got, expected = io.StringIO(), io.StringIO()
-        _write_rows(got, values)
+        expected = io.StringIO()
+        expected.write("a header\n")
         np.savetxt(expected, values, fmt="%.17g", delimiter=",")
-        assert got.getvalue() == expected.getvalue(), shape
+        _write_csv(str(path), "a header", values)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8"), shape
 
 
 def test_bad_artifact_header(tmp_path):
@@ -391,6 +421,34 @@ def test_cli_rejects_non_finite_cells(tmp_path, capsys, cell):
     assert "row 8, column 'y'" in err
 
 
+def test_cli_kernel_refuses_a_nan_in_psi(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    cfg = _write(tmp_path, "e.cfg", f"model=empirical\ngrid_m=10\noutdir={out}\n")
+    psi = np.zeros((10, 10))
+    psi[2, 5] = psi[5, 2] = np.nan   # a symmetric pair, as an estimate would write it
+    write_matrix(str(out / "psi.csv"), "psi", psi, lag=3)
+    write_matrix(str(out / "kernel.csv"), "kernel", np.eye(10))
+    kernel = (out / "kernel.csv").read_bytes()
+    assert main(["kernel", "-c", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "psi.csv: row 4, column 6: 'nan' is not a finite number" in err
+    assert (out / "kernel.csv").read_bytes() == kernel
+
+
+def test_cli_law_refuses_an_inf_in_kernel(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    cfg = _write(tmp_path, "k.cfg", f"model=iid\ngrid_m=10\nn_trials=1000\noutdir={out}\n")
+    kernel = np.eye(10)
+    kernel[7, 7] = np.inf
+    write_matrix(str(out / "kernel.csv"), "kernel", kernel)
+    assert main(["law", "-c", cfg, "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "kernel.csv: row 9, column 8: 'inf' is not a finite number" in err
+    assert sorted(os.listdir(out)) == ["kernel.csv"]
+
+
 @pytest.mark.parametrize("t_max_line, grid_m, named", [
     ("", 100, "auto t_max=90"),          # 180 // 2 lags leave 90 < 101 pairs
     ("t_max=80\n", 100, "t_max=80"),     # one lag past the largest that fits
@@ -483,17 +541,41 @@ def test_cli_imports_only_runner_and_errors_from_depgof():
     assert {n.split(".")[1] for n in names if n.startswith("depgof.")} == {"runner", "errors"}
 
 
-def test_target_s2_fixes_the_scale_of_every_column():
+@pytest.mark.parametrize("model", ["empirical", "ar1", "fgn", "iid"])
+def test_target_s2_fixes_the_scale_of_every_column(model):
     rng = np.random.default_rng(29)
     values = rng.standard_normal((600, 5)) * np.exp(
         rng.standard_normal((600, 5)) * np.linspace(0.1, 0.7, 5))
     panel = standardize(PanelData(names=list("abcde"), values=values))
-    config = PipelineConfig(model="empirical", grid_m=20, target_s2=0.09, threads=2)
+    config = PipelineConfig(model=model, grid_m=20, target_s2=0.09, threads=2)
     expected = vol_model_quantiles(QuantileGrid(20), 0.3).tobytes()
     assert [q.tobytes() for q in _target_quantiles(config, panel)] == [expected] * 5
-    # unset, each column takes its own leave-one-out scale instead
-    auto = _target_quantiles(replace(config, target_s2=-1.0), panel)
-    assert len({q.tobytes() for q in auto} | {expected}) == 6
+    # unset, each column takes its own leave-one-out scale (empirical), or
+    # every column the model's V[omega]
+    auto = [q.tobytes() for q in _target_quantiles(replace(config, target_s2=-1.0), panel)]
+    assert len(set(auto) | {expected}) == (6 if model == "empirical" else 2)
+
+
+def _calls(path):
+    """(top-level definition, call) for every call in a module's functions."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield getattr(top, "name", None), node
+
+
+def test_one_csv_reader_and_one_csv_writer():
+    src = Path(__file__).resolve().parents[1] / "src" / "depgof"
+    loadtxt = [(path.stem, fn) for path in sorted(src.glob("*.py")) for fn, call in _calls(path)
+               if getattr(call.func, "attr", getattr(call.func, "id", None)) == "loadtxt"]
+    assert loadtxt == [("runner", "_read_rows")]
+    writes = sorted(
+        (fn, "summary.json" in ast.unparse(call.args[0]))
+        for fn, call in _calls(src / "runner.py")
+        if getattr(call.func, "id", None) == "open"
+        and any(isinstance(a, ast.Constant) and "w" in str(a.value)
+                for a in call.args[1:] + [k.value for k in call.keywords if k.arg == "mode"]))
+    assert writes == [("_write_csv", False), ("reproduce", True), ("write_results", False)]
 
 
 def test_tracer_names_exist():
@@ -515,6 +597,15 @@ def test_cli_seed_required_for_generate_and_law(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["law", "-c", cfg])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["estimate", "kernel", "test"])
+def test_cli_seed_only_on_verbs_that_draw(tmp_path, verb):
+    # estimate, kernel and test draw no random numbers, so a seed would be ignored
+    cfg = _write(tmp_path, "ok.cfg", "model=iid\nn=100\nreplications=3\n")
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "-c", cfg, "--seed", "1"])
     assert exc.value.code == 2
 
 
