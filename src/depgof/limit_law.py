@@ -7,7 +7,12 @@ trial; the statistics are KS = max_i |y_i| and CM = sum_i y_i^2 / (M+1)
 
 Trials are generated in fixed-size chunks whose generators are spawned
 from (seed, chunk index), so results are bitwise reproducible and
-independent of how chunks are scheduled across workers.  Distributions
+independent of how chunks are scheduled across workers.  Each chunk's
+draw writes its statistics straight into its slices of the two n_trials
+sample arrays, which are then sorted in place.  The spectral draw fills
+its chunk in row blocks of _BLOCK rows, drawn in order from the chunk's
+stream through two buffers of the block's size, so a worker's working set
+is _BLOCK * (n_modes + M) doubles whatever n_trials is.  Distributions
 are immutable sorted sample arrays; p-values use the upper-tail
 (r+1)/(n_trials+1) convention, which never returns zero.
 """
@@ -25,6 +30,7 @@ from .grid import QuantileGrid
 from .sampling import as_series
 
 _CHUNK = 16_384
+_BLOCK = _CHUNK // 2   # rows per matrix product; smaller blocks make slower threaded gemms
 
 
 @dataclass(frozen=True)
@@ -48,14 +54,15 @@ class StatisticDistribution:
     def quantile(self, u):
         """np.quantile's linear rule, bitwise, read off the sorted samples: the
         value at fractional index h = (n - 1) u, interpolated from whichever
-        neighbour is nearer, as numpy does."""
+        neighbour is nearer, as numpy does.  At h = n - 1 numpy reads the
+        last sample with weight h + 1, which keeps the sign of a -0.0."""
         u = np.asarray(u, dtype=float)
         if not np.all((u >= 0.0) & (u <= 1.0)):
             raise ParameterError("quantile level must lie in [0,1]")
         h = (self.n_trials - 1) * u
         below = np.floor(h)
-        t = h - below
         last = self.n_trials - 1
+        t = np.where(h >= last, h + 1.0, h - below)
         a = self.samples[np.minimum(below, last).astype(np.intp)]
         b = self.samples[np.minimum(below + 1.0, last).astype(np.intp)]
         step = b - a
@@ -94,21 +101,25 @@ def _chunk_rng(seed, index):
 
 
 def _simulate(draw, n_trials, seed, digest, m, n_threads=1):
-    """Sorted KS and CM laws from ``draw(rng, count) -> (ks, cm)`` over fixed chunks.
+    """Sorted KS and CM laws from ``draw(rng, ks, cm)`` over fixed chunks.
 
-    Chunk i holds up to _CHUNK trials drawn from _chunk_rng(seed, i), so the
-    samples do not depend on n_threads.
+    Chunk i holds up to _CHUNK trials drawn from _chunk_rng(seed, i); its
+    draw fills ``ks`` and ``cm``, the chunk's slices of the two n_trials
+    sample arrays, which are sorted in place once every chunk is drawn.
+    So the samples do not depend on n_threads, and no chunk's result is
+    kept or copied.
     """
     if n_trials < 1:
         raise ParameterError("need at least one trial")
-    counts = [min(_CHUNK, n_trials - s) for s in range(0, n_trials, _CHUNK)]
+    ks, cm = np.empty(n_trials), np.empty(n_trials)
+    starts = range(0, n_trials, _CHUNK)
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(lambda i, count: draw(_chunk_rng(seed, i), count),
-                              range(len(counts)), counts))
-    return tuple(
-        StatisticDistribution(kind=kind, samples=np.sort(np.concatenate(samples)),
-                              spectrum_digest=digest, grid_m=m)
-        for kind, samples in zip(("ks", "cm"), zip(*parts)))
+        list(pool.map(lambda i, s: draw(_chunk_rng(seed, i), ks[s:s + _CHUNK], cm[s:s + _CHUNK]),
+                      range(len(starts)), starts))
+    ks.sort()
+    cm.sort()
+    return tuple(StatisticDistribution(kind=kind, samples=samples, spectrum_digest=digest, grid_m=m)
+                 for kind, samples in (("ks", ks), ("cm", cm)))
 
 
 def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
@@ -116,7 +127,8 @@ def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
 
     Both statistics are computed from the same draws.  Trials come in
     fixed chunks of 16384 seeded by (seed, chunk), so the result does not
-    depend on n_threads.
+    depend on n_threads.  A chunk is drawn in row blocks of 8192, one
+    matrix product each, in the order of its stream.
     """
     if 1 <= n_trials < 10_000:
         warnings.warn(f"n_trials={n_trials} is small for quantile use; "
@@ -124,9 +136,21 @@ def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
     synth = (spectrum.eigenvectors * np.sqrt(spectrum.eigenvalues)[None, :]).T
     weight = spectrum.grid.weight
 
-    def draw(rng, count):
-        y = rng.standard_normal((count, spectrum.n_modes)) @ synth
-        return np.abs(y).max(axis=1), np.einsum("ij,ij->i", y, y) * weight
+    def draw(rng, ks, cm):
+        rows = min(_BLOCK, ks.size)
+        z = np.empty((rows, spectrum.n_modes))
+        y = np.empty((rows, spectrum.grid.m))
+        for lo in range(0, ks.size, rows):
+            hi = min(lo + rows, ks.size)
+            rng.standard_normal(out=z[:hi - lo])
+            # Multiply all rows, stale ones too: a product of few rows takes
+            # another OpenBLAS kernel (gemv for one row, a small-matrix kernel
+            # below about 1e6 multiply-adds) that rounds differently.
+            np.matmul(z, synth, out=y)
+            yb = y[:hi - lo]
+            np.einsum("ij,ij->i", yb, yb, out=cm[lo:hi])
+            np.abs(yb, out=yb).max(axis=1, out=ks[lo:hi])   # y, not z: n_modes may be < M
+        cm *= weight
 
     return _simulate(draw, n_trials, seed, spectrum.digest, spectrum.grid.m, n_threads)
 
@@ -145,7 +169,8 @@ def simulate_iid_statistic_distribution(m, n_trials, seed):
     g = QuantileGrid(m)
     w = g.weight
 
-    def draw(rng, b):
+    def draw(rng, ks, cm):
+        b = ks.size
         walk = np.cumsum(rng.standard_normal((b, m + 1)) * math.sqrt(w), axis=1)
         y = np.zeros((b, m + 2))
         y[:, 1:m + 1] = walk[:, :m] - np.outer(walk[:, m], g.points)
@@ -168,8 +193,9 @@ def simulate_iid_statistic_distribution(m, n_trials, seed):
         neg_lo = np.subtract(mid, reach(), out=mid)
         neg_lo *= -0.5
         inner = y[:, 1:m + 1]
-        ks = np.maximum(hi, neg_lo, out=hi).max(axis=1)
-        return ks, np.einsum("ij,ij->i", inner, inner) * w
+        np.maximum(hi, neg_lo, out=hi).max(axis=1, out=ks)
+        np.einsum("ij,ij->i", inner, inner, out=cm)
+        cm *= w
 
     return _simulate(draw, n_trials, seed, f"bridge:iid:m={m}", m)
 

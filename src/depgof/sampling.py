@@ -150,7 +150,9 @@ def gen_ar1_logvol(params, n, seed, return_logvol=False):
     steps = list(omega)   # row views, one per time step
     for prev, row in zip(steps, steps[1:]):
         row += g * prev
-    x = xi * np.exp(omega - v)
+    x = np.subtract(omega, v)
+    np.exp(x, out=x)
+    x *= xi
     if not panel:
         x, omega = x[:, 0], omega[:, 0]
     return (x, omega) if return_logvol else x

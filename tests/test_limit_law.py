@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from depgof import (
     DataError,
     KernelMatrix,
     ParameterError,
+    PerturbativeInputs,
     QuantileGrid,
     Spectrum,
     StatisticDistribution,
@@ -23,6 +25,7 @@ from depgof import (
     eigendecompose,
     gen_ar1_logvol,
     p_value,
+    perturbative_spectrum,
     reduction_ratio,
     run_gof_test,
     simulate_iid_statistic_distribution,
@@ -31,7 +34,7 @@ from depgof import (
     vol_model_cdf,
     vol_model_quantiles,
 )
-from depgof.limit_law import _CHUNK, sup_distance
+from depgof.limit_law import _BLOCK, _CHUNK, sup_distance
 from conftest import kolmogorov_series
 
 
@@ -191,6 +194,51 @@ def test_iid_sampler_matches_the_out_of_place_draw(m, n_trials, seed):
         assert dist.samples.tobytes() == np.sort(np.concatenate(samples)).tobytes()
 
 
+def _spectral_laws_reference(spectrum, n_trials, seed):
+    """Sorted laws with one matrix product and out-of-place statistics per chunk."""
+    synth = (spectrum.eigenvectors * np.sqrt(spectrum.eigenvalues)[None, :]).T
+    parts = []
+    for i, start in enumerate(range(0, n_trials, _CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        y = rng.standard_normal((min(_CHUNK, n_trials - start), spectrum.n_modes)) @ synth
+        parts.append((np.abs(y).max(axis=1), np.einsum("ij,ij->i", y, y) * spectrum.grid.weight))
+    return [np.sort(np.concatenate(samples)) for samples in zip(*parts)]
+
+
+def _ar1_spectrum(m):
+    return eigendecompose(build_kernel_ar1(Ar1LogVolParams(0.88, 0.05), QuantileGrid(m)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+@pytest.mark.parametrize("spectrum, n_trials, seed", [
+    (_ar1_spectrum(10), 5000, 0),
+    (_ar1_spectrum(37), 2 * _CHUNK + 7, 5),
+    (_ar1_spectrum(100), 3 * _CHUNK, 73),
+    # 20 modes on 100 points; the last chunk's second row block holds one row
+    (perturbative_spectrum(PerturbativeInputs(0.05, 0.02, 0.01), QuantileGrid(100)),
+     _CHUNK + _BLOCK + 1, 11),
+], ids=["m10", "m37", "m100", "perturbative"])
+def test_spectral_sampler_matches_the_one_matmul_draw(spectrum, n_trials, seed, n_threads):
+    laws = simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=n_threads)
+    for dist, samples in zip(laws, _spectral_laws_reference(spectrum, n_trials, seed)):
+        assert dist.samples.tobytes() == samples.tobytes()
+
+
+def test_law_memory_is_bounded_by_the_row_blocks():
+    # two workers, each with one (_BLOCK, n_modes) normal block and one (_BLOCK, m)
+    # product, plus the two n_trials sample arrays; 25 % slack
+    spectrum, n_trials, workers = _ar1_spectrum(100), 100_000, 2
+    bound = 8 * (workers * _BLOCK * (spectrum.n_modes + spectrum.grid.m) + 2 * n_trials)
+    tracemalloc.start()
+    try:
+        simulate_statistic_distribution(spectrum, n_trials, seed=1, n_threads=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * bound, f"peak {peak / 1e6:.1f} MB, design bound {bound / 1e6:.1f} MB"
+
+
 def test_dependent_law_dominates_iid(grid):
     iid = eigendecompose(brownian_bridge_kernel(grid))
     dep = eigendecompose(build_kernel_ar1(Ar1LogVolParams(0.88, 0.05), grid))
@@ -335,6 +383,7 @@ def test_reduction_ratio(grid):
 @example(samples=[3.0], levels=[0.95], scalar=True)
 @example(samples=[-1.0, 0.0, 0.0, 7.5], levels=[1.0 / 3.0], scalar=True)
 @example(samples=[0.19, 0.8], levels=[0.5], scalar=True)   # the sides round apart at t = 1/2
+@example(samples=[-0.0], levels=[0.0], scalar=False)   # numpy reads the last sample at weight 1
 def test_law_quantile_is_np_quantile(samples, levels, scalar):
     """The law reads np.quantile's linear rule off its sorted samples, bitwise."""
     law = StatisticDistribution(kind="ks", samples=np.sort(samples), spectrum_digest="t",
