@@ -20,7 +20,8 @@ order is that of ordinal ranks.  At lag t the ranks of X[:-t] and X[t:]
 are running counts of the positions each keeps along that order (O(N)
 per series), a table built once per lag maps rank to grid bin, and one
 np.bincount counts the (bin, bin) pairs of every series of a block.  The
-bias correction and Frechet clip then act on each series' surface, and
+bias correction and Frechet clip, also built once per lag, then act on
+each series' surface, and
 the mean adds the surfaces in panel order, so it is bitwise the mean of
 the per-series empirical_copula estimates.  psi_accumulate reduces in
 ascending-lag order.
@@ -120,24 +121,31 @@ def empirical_copula(x, y, grid, lag=0, clip_frechet=True):
     by = np.searchsorted(thresholds, rank_y, side="left")
     counts = np.zeros((grid.m + 1, grid.m + 1))
     np.add.at(counts, (bx, by), 1.0)
-    return CopulaSurface(grid=grid, lag=lag,
-                         values=_corrected_surfaces(counts, n, grid, clip_frechet))
+    bounds = frechet_bounds(grid) if clip_frechet else None
+    return CopulaSurface(grid=grid, lag=lag, values=_corrected_surfaces(
+        counts, n, _bias_factor(n, grid), bounds))
 
 
-def _corrected_surfaces(counts, n, grid, clip_frechet=True):
-    """Bias-corrected copula values from bin counts of shape (..., m+1, m+1).
+def _bias_factor(n, grid):
+    """The m x m correction (n u / floor(n u)) (n v / floor(n v)) on the grid."""
+    factor = n * grid.points / copula_thresholds(n, grid)
+    return np.outer(factor, factor)
+
+
+def _corrected_surfaces(counts, n, bias, bounds=None):
+    """Bias-corrected copula values from bin counts of shape (..., m+1, m+1):
+    the cumulated counts over n times the ``bias`` factor, clipped into the
+    Frechet ``bounds`` (lower, upper) unless they are None.
 
     The counts are integers, exact in float64, so integer and float counts
     give the same bits.
     """
-    m = grid.m
+    m = bias.shape[0]
     below = counts[..., :m, :m].cumsum(axis=-2)
     values = np.cumsum(below, axis=-1, out=below) / n
-    factor = n * grid.points / copula_thresholds(n, grid)
-    values *= np.outer(factor, factor)
-    if clip_frechet:
-        lower, upper = frechet_bounds(grid)
-        np.clip(values, lower, upper, out=values)
+    values *= bias
+    if bounds is not None:
+        np.clip(values, *bounds, out=values)
     return values
 
 
@@ -226,6 +234,7 @@ def average_self_copula(panel, t, grid):
     n = size - t
     # grid bin of each rank 0..n: the first threshold >= rank, m = beyond the grid
     bins = np.searchsorted(copula_thresholds(n, grid), np.arange(n + 1), side="left")
+    bias, bounds = _bias_factor(n, grid), frechet_bounds(grid)   # once per lag
     side = grid.m + 1
     acc = np.zeros((grid.m, grid.m))   # surfaces are >= +0, so 0 + first = first
     for lo in range(0, k, _BLOCK):
@@ -239,7 +248,7 @@ def average_self_copula(panel, t, grid):
         cells = bx * side + by
         cells += (side * side) * np.arange(block)[:, None]
         counts = np.bincount(cells.ravel(), minlength=block * side * side)
-        surfaces = _corrected_surfaces(counts.reshape(block, side, side), n, grid)
+        surfaces = _corrected_surfaces(counts.reshape(block, side, side), n, bias, bounds)
         for values in surfaces:
             acc += values
     return CopulaSurface(grid=grid, lag=t, values=acc / k)

@@ -22,9 +22,14 @@ count is chosen so that doubling it moves the basis tables by less than
 1e-9.  The nodes are computed once per node count and shared read-only by
 every basis.  Quantiles come from one vectorized Newton solve over all
 levels, safeguarded by a bracket: the CDF and the density of a step come
-from the same quadrature pass.  The grid quantiles, and the A and R tables
-at them, are each cached on first use (a test needs only the quantiles)
-and are safe to share across threads read-only.
+from the same quadrature pass.  The steps start from the Gaussian
+quantiles, or from a guess: vol_model_quantiles can start a scale from
+the Lagrange polynomial through the quantiles of anchor scales, which
+takes about 2 steps instead of 7 when the scales lie within 0.4 % of
+each other, as the leave-one-out scales of a panel do.  The grid
+quantiles, and the A and R tables at them, are each cached on first use
+(a test needs only the quantiles) and are safe to share across threads
+read-only; a solve from anchors bypasses that cache.
 """
 
 import functools
@@ -79,17 +84,26 @@ class LogNormalVolBasis:
         """Marginal CDF F(x) = E[Phi(x e^{-s w})]; F(-x) = 1 - F(x)."""
         return self._expect(ndtr, np.asarray(x, dtype=float))
 
-    def quantile(self, u):
+    def quantile(self, u, start=None):
         """Inverse marginal CDF of every level at once, by Newton steps kept inside a
         bracket (a step that leaves it bisects it) until a step or the bracket is
-        below 1e-13."""
+        below 1e-13.  The steps start from ``start``, a finite guess of F^{-1}(u) of
+        u's shape, or by default from the Gaussian quantile ndtri(u)."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
             raise ParameterError("quantile level must lie strictly inside (0,1)")
         # solve in the lower half, where the CDF has relative resolution, and use
-        # F(-x) = 1 - F(x); 1 - u is exact for u > 1/2
+        # F(-x) = 1 - F(x); 1 - u is exact for u > 1/2, and a start mirrors with u
         upper = u_arr > 0.5
         u_arr = np.where(upper, 1.0 - u_arr, u_arr)
+        if start is None:
+            start = ndtri(u_arr)    # exact at s = 0
+        else:
+            start = np.atleast_1d(np.asarray(start, dtype=float))
+            if start.shape != u_arr.shape or not np.isfinite(start).all():
+                raise ParameterError(f"a quantile start must be finite and of the levels' "
+                                     f"shape {u_arr.shape}, got shape {start.shape}")
+            start = np.where(upper, -start, start)
         # every hi > 0 has F(hi) >= F(0) = 1/2 >= u, so only lo may need widening;
         # the levels share few lo values, and the CDF is read once at each
         lo, hi = np.full(u_arr.shape, -60.0), np.full(u_arr.shape, 60.0)
@@ -101,7 +115,7 @@ class LogNormalVolBasis:
             lo[high_lo] *= 2.0
         else:
             raise NumericalError("cannot bracket the marginal quantile")
-        x = np.clip(ndtri(u_arr), lo, hi)    # exact at s = 0
+        x = np.clip(start, lo, hi)
         scale = np.exp(-self.s * self._omega)
         for _ in range(_NEWTON_STEPS):
             z = x[:, None] * scale
@@ -167,10 +181,17 @@ def vol_model_cdf(x, s):
     return basis.cdf(np.asarray(x, dtype=float) * math.exp(s * s))
 
 
-def vol_model_quantiles(grid, s):
-    """Quantiles of the normalized model at the grid levels: the basis's cached
-    F_s^{-1}(u_i) times e^{-s^2}, the inverse of vol_model_cdf."""
-    return get_basis(s).quantiles(grid) * math.exp(-s * s)
+def vol_model_quantiles(grid, s, anchors=()):
+    """Quantiles of the normalized model at the grid levels: F_s^{-1}(u_i) times
+    e^{-s^2}, the inverse of vol_model_cdf.  F_s^{-1}(u_i) is the shared basis's
+    cached solve or, given ``anchors`` (other scales), a solve on a basis of its
+    own that starts from the Lagrange polynomial in s through the anchors' cached
+    F^{-1}(u_i), and neither reads nor fills the cache of scale s."""
+    if not anchors:
+        return get_basis(s).quantiles(grid) * math.exp(-s * s)
+    start = sum(get_basis(a).quantiles(grid) * math.prod((s - b) / (a - b) for b in anchors
+                                                          if b != a) for a in anchors)
+    return LogNormalVolBasis(s).quantile(grid.points, start) * math.exp(-s * s)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,12 @@ are independent: the Monte-Carlo law chunks, the lags of ``estimate_psi``
 and the distinct volatility scales of ``test_panel``'s target quantiles.
 Each unit's arithmetic does not depend on it, and its results are combined
 in a fixed order, so it changes no result.  All stages are deterministic
-given the config and seed.
+given the config and seed.  Of more than three distinct scales, the
+smallest, middle and largest are solved cold and the others start from
+the quadratic through those three, so a column's quantiles depend on the
+panel's scales but not on `threads` or on what the process solved before.
+A one-column empirical panel has no other column to calibrate its
+leave-one-out scale on, so ``test`` refuses it unless ``target_s2`` is set.
 """
 
 import json
@@ -452,8 +457,7 @@ def simulate_laws(spectrum, config, seed, outdir=None, suffix=""):
 
 
 def _target_quantiles(config, panel):
-    """Null-marginal quantiles at the grid levels, one vector per column; each
-    distinct volatility scale is solved once, on a `threads` worker."""
+    """Null-marginal quantiles at the grid levels, one vector per column."""
     grid = QuantileGrid(config.grid_m)
     k = len(panel.names)
     if config.target == "gaussian":
@@ -462,16 +466,35 @@ def _target_quantiles(config, panel):
         s2 = [config.target_s2] * k
     elif config.model != "empirical":
         s2 = [_model(config)[0].stationary_var] * k
+    elif k < 2:
+        raise DataError(f"{config.input}: the one column {panel.names[0]!r} leaves no other "
+                        f"column to calibrate its leave-one-out target scale on; set "
+                        f"target_s2 = <s^2> in the config")
     else:
         # leave-one-out calibration: each column gets the average s^2 of the others
         own = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
         total = own.sum()
-        s2 = [max((total - v) / max(1, k - 1), 0.0) for v in own]
+        s2 = [max((total - v) / (k - 1), 0.0) for v in own]
     scales = [math.sqrt(v) for v in s2]
-    distinct = list(dict.fromkeys(scales))
-    solved = dict(zip(distinct, _map(
-        config.threads, lambda s: lognormal.vol_model_quantiles(grid, s), distinct)))
+    solved = _scale_quantiles(grid, scales, config.threads)
     return [solved[s] for s in scales]
+
+
+def _scale_quantiles(grid, scales, threads):
+    """{s: the target quantiles of scale s} for the distinct ``scales``, each solve on
+    a `threads` worker.  Three anchors, the smallest, middle and largest scale, are
+    solved cold; any other scale starts from the quadratic through them, so its
+    quantiles depend on the anchors, but not on `threads` or on what the process
+    solved before."""
+    distinct = sorted(set(scales))
+    anchors = distinct if len(distinct) <= 3 else [distinct[0], distinct[len(distinct) // 2],
+                                                   distinct[-1]]
+    rest = [s for s in distinct if s not in anchors]
+    solved = dict(zip(anchors, _map(
+        threads, lambda s: lognormal.vol_model_quantiles(grid, s), anchors)))
+    solved.update(zip(rest, _map(
+        threads, lambda s: lognormal.vol_model_quantiles(grid, s, anchors), rest)))
+    return solved
 
 
 def test_panel(panel, config, dist_ks, dist_cm, outdir=None, filename="results.jsonl"):

@@ -116,7 +116,8 @@ def test_pair_ranks_are_ordinal_rankdata(n, decimals, seed):
     counts = np.zeros((grid.m + 1, grid.m + 1))
     bins = [np.searchsorted(thresholds, rankdata(s, method="ordinal")) for s in (x, y)]
     np.add.at(counts, tuple(bins), 1.0)
-    expected = copulas._corrected_surfaces(counts, n, grid)
+    expected = copulas._corrected_surfaces(counts, n, copulas._bias_factor(n, grid),
+                                           frechet_bounds(grid))
     assert empirical_copula(x, y, grid).values.tobytes() == expected.tobytes()
 
 

@@ -257,6 +257,23 @@ def test_quantile_solve_checks_levels_and_fails_loudly(monkeypatch):
         basis.quantile(np.array([0.01, 0.3]))
 
 
+def test_quantile_start_mirrors_with_the_levels(monkeypatch):
+    basis = LogNormalVolBasis(0.8)
+    u = QuantileGrid(51).points
+    cold = basis.quantile(u)
+    for bad in (cold[:-1], np.where(u > 0.9, np.nan, cold), np.inf):
+        with pytest.raises(ParameterError, match="start"):
+            basis.quantile(u, bad)
+    # a start at the quantiles, upper half included, converges in two steps;
+    # the Gaussian start needs more
+    monkeypatch.setattr(lognormal, "_NEWTON_STEPS", 2)
+    warm = basis.quantile(u, cold * (1.0 + 1e-7))
+    assert np.all(np.abs(warm - cold) <= 1e-13 + 4e-16 * np.abs(cold))
+    assert basis.quantile(u[45], float(cold[45])) == pytest.approx(cold[45], rel=1e-15)
+    with pytest.raises(NumericalError):
+        basis.quantile(u)
+
+
 def _two_sided_bracket_quantile(basis, u):
     """The solver as it was when the bracket also doubled hi where F(hi) < u, with
     the CDF read at every level's lo and hi on each pass: the reference for the

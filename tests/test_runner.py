@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from depgof import (
     PanelData,
     PipelineConfig,
     QuantileGrid,
+    calibrate_volvol,
     empirical_copula,
     ingest_csv,
     parse_config_text,
@@ -35,7 +37,9 @@ from depgof import (
 )
 from depgof.cli import main
 from depgof.limit_law import _chunk_rng
+from depgof.lognormal import LogNormalVolBasis
 from depgof.runner import (
+    _scale_quantiles,
     _target_quantiles,
     _write_csv,
     estimate_psi,
@@ -727,6 +731,76 @@ def test_pipeline_equals_verb_chain(tmp_path, model):
     expected = _dir_bytes(piped)
     assert "results.jsonl" in expected
     assert _dir_bytes(chained) == expected
+
+
+def _anchors(scales):
+    distinct = sorted(set(scales))
+    return distinct if len(distinct) <= 3 else [distinct[0], distinct[len(distinct) // 2],
+                                                distinct[-1]]
+
+
+# leave-one-out scales lie within a few tenths of a percent of each other
+_clustered = st.builds(lambda c, rel: [c * (1.0 + r) for r in rel], st.floats(0.01, 3.45),
+                       st.lists(st.floats(-2e-3, 2e-3), min_size=4, max_size=12))
+_spread = st.lists(st.floats(0.0, 3.5), min_size=4, max_size=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scales=st.one_of(_clustered, _spread), m=st.sampled_from([10, 51, 100]))
+@example(scales=list(np.linspace(0.4624, 0.4642, 12)), m=100)
+@example(scales=[0.0, 0.5, 1.5, 2.7, 3.1068371422561745, 3.5], m=100)
+def test_anchored_scale_quantiles(scales, m):
+    grid = QuantileGrid(m)
+    solved = _scale_quantiles(grid, scales, threads=2)
+    anchors = _anchors(scales)
+    assert sorted(solved) == sorted(set(scales))
+    for s, q in solved.items():
+        assert np.all(np.diff(q) >= 0.0), s
+        if s in anchors:
+            assert q.tobytes() == vol_model_quantiles(grid, s).tobytes(), s
+            continue
+        # the cold solve's tolerance, in the basis's units, and the rounding of the
+        # shared rescale by e^{-s^2}
+        cold, shrink = LogNormalVolBasis(s).quantile(grid.points), np.exp(-s * s)
+        tol = (1e-13 + 4e-16 * np.abs(cold)) * shrink + np.spacing(np.abs(cold * shrink))
+        assert np.all(np.abs(q - cold * shrink) <= tol), s
+
+
+def test_target_quantiles_do_not_depend_on_earlier_solves():
+    rng = np.random.default_rng(41)
+    values = rng.standard_normal((700, 9)) * np.exp(0.6 * rng.standard_normal((700, 9)))
+    panel = standardize(PanelData(names=[f"c{j}" for j in range(9)], values=values))
+    config = PipelineConfig(model="empirical", grid_m=51, threads=2)
+    before = [q.tobytes() for q in _target_quantiles(config, panel)]
+    own = np.array([calibrate_volvol(col) for col in panel.values.T])
+    scales = sorted({math.sqrt((own.sum() - v) / 8) for v in own})   # leave-one-out
+    others = [s for s in scales if s not in _anchors(scales)]
+    grid = QuantileGrid(51)
+    assert len(others) == 6
+    cold = [vol_model_quantiles(grid, s).tobytes() for s in others]   # fills the cache
+    assert [q.tobytes() for q in _target_quantiles(config, panel)] == before
+    # a warm start lands on other bits than the cold solve somewhere here, so a
+    # solve that read the cache would show
+    assert set(cold) - set(before)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+def test_one_column_empirical_panel_needs_target_s2(tmp_path, capsys):
+    # the leave-one-out mean over no other column was clamped to s = 0, the
+    # standard normal, although this column's own s^2 is 0.63
+    rng = np.random.default_rng(43)
+    values = rng.standard_normal(800) * np.exp(0.7 * rng.standard_normal(800))
+    data = _write(tmp_path, "one.csv", "solo\n" + "".join(f"{v:.17g}\n" for v in values))
+    text = f"model=empirical\ninput={data}\nt_max=4\ngrid_m=10\nn_trials=2000\n"
+    cfg = _write(tmp_path, "one.cfg", text + f"outdir={tmp_path / 'auto'}\n")
+    assert main(["pipeline", "-c", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "one.csv" in err and "'solo'" in err and "target_s2" in err
+    fixed = _write(tmp_path, "fixed.cfg", text + f"target_s2=0.49\noutdir={tmp_path / 'fixed'}\n")
+    assert main(["pipeline", "-c", fixed]) == 0
+    gaussian = _write(tmp_path, "gauss.cfg",
+                      text + f"target=gaussian\noutdir={tmp_path / 'gauss'}\n")
+    assert main(["pipeline", "-c", gaussian]) == 0
 
 
 @pytest.mark.parametrize("m", [10, 15, 99, 100, 256, 599])
