@@ -7,24 +7,28 @@ trial; the statistics are KS = max_i |y_i| and CM = sum_i y_i^2 / (M+1)
 
 Trials are generated in fixed-size chunks whose generators are spawned
 from (seed, chunk index), so results are bitwise reproducible and
-independent of how chunks are scheduled across workers.  Each chunk's
-draw writes its statistics straight into its slices of the two n_trials
-sample arrays, which are then sorted in place.  The spectral draw fills
-its chunk in row blocks of _BLOCK rows, drawn in order from the chunk's
-stream through two buffers of the block's size, so a worker's working set
-is _BLOCK * (n_modes + M) doubles whatever n_trials is.  Distributions
-are immutable sorted sample arrays; p-values use the upper-tail
-(r+1)/(n_trials+1) convention, which never returns zero.
+independent of how chunks are scheduled across workers.  The workers run
+through ``_pool.map_ordered``, which holds numpy's OpenBLAS at one thread
+while they draw, so n_threads workers run n_threads compute threads, not
+n_threads times OpenBLAS's own count; a product splits its output, not its
+sums, across OpenBLAS's threads, so the pin changes no sample.  Each
+chunk's draw writes its statistics straight into its slices of the two
+n_trials sample arrays, which are then sorted in place.  The spectral draw
+fills its chunk in row blocks of _BLOCK rows, drawn in order from the
+chunk's stream through two buffers of the block's size, so a worker's
+working set is _BLOCK * (n_modes + M) doubles whatever n_trials is.
+Distributions are immutable sorted sample arrays; p-values use the
+upper-tail (r+1)/(n_trials+1) convention, which never returns zero.
 """
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, kolmogorov
 
+from ._pool import map_ordered
 from .errors import DataError, ParameterError
 from .grid import QuantileGrid
 from .sampling import as_series
@@ -112,10 +116,8 @@ def _simulate(draw, n_trials, seed, digest, m, n_threads=1):
     if n_trials < 1:
         raise ParameterError("need at least one trial")
     ks, cm = np.empty(n_trials), np.empty(n_trials)
-    starts = range(0, n_trials, _CHUNK)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(lambda i, s: draw(_chunk_rng(seed, i), ks[s:s + _CHUNK], cm[s:s + _CHUNK]),
-                      range(len(starts)), starts))
+    map_ordered(n_threads, lambda s: draw(_chunk_rng(seed, s // _CHUNK), ks[s:s + _CHUNK],
+                                          cm[s:s + _CHUNK]), range(0, n_trials, _CHUNK))
     ks.sort()
     cm.sort()
     return tuple(StatisticDistribution(kind=kind, samples=samples, spectrum_digest=digest, grid_m=m)

@@ -25,27 +25,32 @@ of the grid levels, so the target CDF is never evaluated at the samples.
 The ``threads`` key (>= 1) sets the worker count of the stages whose units
 are independent: the Monte-Carlo law chunks, the lags of ``estimate_psi``
 and the distinct volatility scales of ``test_panel``'s target quantiles.
-Each unit's arithmetic does not depend on it, and its results are combined
-in a fixed order, so it changes no result.  All stages are deterministic
-given the config and seed.  Of more than three distinct scales, the
-smallest, middle and largest are solved cold and the others start from
-the quadratic through those three, so a column's quantiles depend on the
-panel's scales but not on `threads` or on what the process solved before.
-A one-column empirical panel has no other column to calibrate its
-leave-one-out scale on, so ``test`` refuses it unless ``target_s2`` is set.
+Their workers run through ``_pool.map_ordered``, which holds numpy's
+OpenBLAS at one thread while they run, so such a stage runs ``threads``
+compute threads in all; where numpy has no OpenBLAS of its own, the map
+leaves the BLAS alone.  Each unit's arithmetic does not depend on
+``threads``, and its results are combined in a fixed order, so it changes
+no result.  All stages are deterministic given the config and seed.  Of
+more than three distinct scales, the smallest, middle and largest are
+solved cold and the others start from the quadratic through those three,
+so a column's quantiles depend on the panel's scales but not on `threads`
+or on what the process solved before.  A one-column empirical panel has no
+other column to calibrate its leave-one-out scale on, so ``test`` refuses
+it unless ``target_s2`` is set, and ``run_pipeline`` does so before its
+first stage writes.
 """
 
 import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import copulas, kernels, limit_law, lognormal, sampling
+from ._pool import map_ordered
 from .errors import ConfigError, DataError, ParameterError
 from .grid import QuantileGrid
 
@@ -354,12 +359,6 @@ def load_laws(config):
 
 # --- pipeline stages -------------------------------------------------------
 
-def _map(threads, fn, items):
-    """[fn(item) for item in items] on `threads` workers, in the items' order."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _model(config):
     """(params, generator) of the synthetic model named by the config."""
     if config.model == "ar1":
@@ -404,8 +403,9 @@ def estimate_psi(panel, config, outdir=None):
         raise DataError(f"{asked} is too large for series of length n={panel.n} on a "
                         f"grid_m={grid.m} grid: {fits}")
     ranked = copulas.rank_panel(panel.values.T)
-    surfaces = _map(config.threads, lambda t: copulas.average_self_copula(ranked, t, grid),
-                    range(1, t_max + 1))
+    surfaces = map_ordered(config.threads,
+                           lambda t: copulas.average_self_copula(ranked, t, grid),
+                           range(1, t_max + 1))
     ladder = {1 << i for i in range(30)}
     for t, surf in enumerate(surfaces, start=1):
         if outdir and (t in ladder or t == t_max):
@@ -456,8 +456,19 @@ def simulate_laws(spectrum, config, seed, outdir=None, suffix=""):
     return laws
 
 
+def _check_target_columns(config, panel):
+    """Refuse a one-column empirical panel whose volmodel target scale would be
+    calibrated leave-one-out, on no other column."""
+    if (config.model == "empirical" and config.target == "volmodel"
+            and config.target_s2 < 0.0 and len(panel.names) < 2):
+        raise DataError(f"{config.input}: the one column {panel.names[0]!r} leaves no other "
+                        f"column to calibrate its leave-one-out target scale on; set "
+                        f"target_s2 = <s^2> in the config")
+
+
 def _target_quantiles(config, panel):
     """Null-marginal quantiles at the grid levels, one vector per column."""
+    _check_target_columns(config, panel)
     grid = QuantileGrid(config.grid_m)
     k = len(panel.names)
     if config.target == "gaussian":
@@ -466,10 +477,6 @@ def _target_quantiles(config, panel):
         s2 = [config.target_s2] * k
     elif config.model != "empirical":
         s2 = [_model(config)[0].stationary_var] * k
-    elif k < 2:
-        raise DataError(f"{config.input}: the one column {panel.names[0]!r} leaves no other "
-                        f"column to calibrate its leave-one-out target scale on; set "
-                        f"target_s2 = <s^2> in the config")
     else:
         # leave-one-out calibration: each column gets the average s^2 of the others
         own = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
@@ -490,9 +497,9 @@ def _scale_quantiles(grid, scales, threads):
     anchors = distinct if len(distinct) <= 3 else [distinct[0], distinct[len(distinct) // 2],
                                                    distinct[-1]]
     rest = [s for s in distinct if s not in anchors]
-    solved = dict(zip(anchors, _map(
+    solved = dict(zip(anchors, map_ordered(
         threads, lambda s: lognormal.vol_model_quantiles(grid, s), anchors)))
-    solved.update(zip(rest, _map(
+    solved.update(zip(rest, map_ordered(
         threads, lambda s: lognormal.vol_model_quantiles(grid, s, anchors), rest)))
     return solved
 
@@ -528,6 +535,7 @@ def run_pipeline(config):
     psi = None
     if config.model == "empirical":
         panel = load_panel(config)
+        _check_target_columns(config, panel)   # before any stage writes
         psi = estimate_psi(panel, config, outdir=outdir)
     else:
         panel = generate_panel(config, outdir=outdir)

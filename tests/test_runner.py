@@ -582,6 +582,14 @@ def test_one_csv_reader_and_one_csv_writer():
     assert writes == [("_write_csv", False), ("reproduce", True), ("write_results", False)]
 
 
+def test_one_thread_pool():
+    # every worker pool goes through the helper that pins OpenBLAS to one thread
+    src = Path(__file__).resolve().parents[1] / "src" / "depgof"
+    pools = [(path.stem, fn) for path in sorted(src.glob("*.py")) for fn, call in _calls(path)
+             if getattr(call.func, "attr", getattr(call.func, "id", None)) == "ThreadPoolExecutor"]
+    assert pools == [("_pool", "map_ordered")]
+
+
 def test_tracer_names_exist():
     # the benchmark's tracer rebinds these public names; a removed one breaks it
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -796,6 +804,11 @@ def test_one_column_empirical_panel_needs_target_s2(tmp_path, capsys):
     assert main(["pipeline", "-c", cfg]) == 3
     err = capsys.readouterr().err
     assert "one.csv" in err and "'solo'" in err and "target_s2" in err
+    # refused before any stage runs: no copula, psi, kernel, spectrum or law
+    assert os.listdir(tmp_path / "auto") == []
+    # estimating Psi alone needs no target scale
+    assert main(["estimate", "-c", cfg]) == 0
+    assert "psi.csv" in os.listdir(tmp_path / "auto")
     fixed = _write(tmp_path, "fixed.cfg", text + f"target_s2=0.49\noutdir={tmp_path / 'fixed'}\n")
     assert main(["pipeline", "-c", fixed]) == 0
     gaussian = _write(tmp_path, "gauss.cfg",
