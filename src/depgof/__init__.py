@@ -41,7 +41,6 @@ from .kernels import (
 from .limit_law import (
     GofResult,
     StatisticDistribution,
-    dominant_mode_cdf,
     p_value,
     reduction_ratio,
     run_gof_test,

@@ -56,8 +56,7 @@ def cmd_estimate(args):
 
 def cmd_kernel(args):
     config = _load(args)
-    psi = runner.load_psi(config) if config.model == "empirical" else None
-    runner.build_kernel(config, psi=psi, outdir=config.outdir)
+    runner.build_kernel(config, psi=runner.load_psi(config), outdir=config.outdir)
     print(f"wrote {config.outdir}/kernel.csv")
 
 

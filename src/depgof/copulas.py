@@ -154,7 +154,8 @@ def self_copula_at_lag(series, t, grid):
 
     C_t(u,v) is not symmetric in (u,v) in general: conditioning on the past
     differs from conditioning on the future whenever the dynamics are
-    asymmetric (leverage).
+    asymmetric (leverage).  No stage calls it: it is the per-series reference
+    that average_self_copula is tested bitwise against.
     """
     x = np.asarray(series, dtype=float)
     if t < 1:

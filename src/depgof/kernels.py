@@ -84,8 +84,7 @@ def brownian_bridge_kernel(grid):
 
 def build_kernel_from_psi(psi):
     """H = I * (1 + Psi) from an accumulated correction surface."""
-    sym_psi = 0.5 * (psi.values + psi.values.T)   # symmetric up to rounding
-    return KernelMatrix(grid=psi.grid, values=psi.grid.bridge() * (1.0 + sym_psi))
+    return KernelMatrix(grid=psi.grid, values=psi.grid.bridge() * (1.0 + psi.values))
 
 
 def _rank_one_kernel(params, grid, coefficient):
@@ -133,6 +132,11 @@ def build_kernel_fgn(params, n, grid):
     return _rank_one_kernel(params, grid, fgn_psi_coefficient(params, n))
 
 
+def _digest(lam):
+    """Spectrum digest: the sha1 of the eigenvalues rounded to 12 decimals, 16 hex digits."""
+    return hashlib.sha1(np.round(lam, 12).tobytes()).hexdigest()[:16]
+
+
 def eigendecompose(kernel):
     """Solve the discretized Mercer problem of a symmetric kernel.
 
@@ -152,8 +156,7 @@ def eigendecompose(kernel):
             + _INDEFINITE_REMEDY)
     np.clip(lam, 0.0, None, out=lam)
     u_cont = vec * math.sqrt(g.m + 1)
-    digest = hashlib.sha1(np.round(lam, 12).tobytes()).hexdigest()[:16]
-    return Spectrum(grid=g, eigenvalues=lam, eigenvectors=u_cont, digest=digest)
+    return Spectrum(grid=g, eigenvalues=lam, eigenvectors=u_cont, digest=_digest(lam))
 
 
 def cm_moments(kernel):
@@ -185,20 +188,6 @@ class PerturbativeInputs:
     @property
     def outside_small_regime(self):
         return max(abs(self.alpha_bar), abs(self.rho_bar), abs(self.beta_bar)) > 0.5
-
-    @classmethod
-    def from_lag_coefficients(cls, coeffs, n, grid=None):
-        """Reduce per-lag (alpha, beta, rho) sequences with weights (1 - t/n),
-        traces taken of the reference (s = 1) basis on ``grid``."""
-        tr_a, tr_r = get_basis().traces(grid or QuantileGrid())
-        wa = wr = wb = 0.0
-        for c in coeffs:
-            w = 1.0 - c.t / n
-            wa += w * c.alpha
-            wr += w * c.rho
-            wb += w * c.beta
-        return cls(alpha_bar=2.0 * tr_a * wa, rho_bar=2.0 * tr_r * wr,
-                   beta_bar=2.0 * math.sqrt(tr_a * tr_r) * wb)
 
 
 def _unit_modes(grid):
@@ -270,10 +259,8 @@ def perturbative_spectrum(inputs, grid):
     vecs = vecs / np.sqrt(grid.integrate(vecs.T ** 2))
 
     order = np.argsort(lam_out)[::-1][:20]
-    digest = "perturbative:" + hashlib.sha1(
-        np.round(lam_out[order], 12).tobytes()).hexdigest()[:16]
-    return Spectrum(grid=grid, eigenvalues=lam_out[order],
-                    eigenvectors=vecs[:, order], digest=digest)
+    return Spectrum(grid=grid, eigenvalues=lam_out[order], eigenvectors=vecs[:, order],
+                    digest="perturbative:" + _digest(lam_out[order]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, kolmogorov
+from scipy.special import kolmogorov
 
 from ._pool import map_ordered
 from .errors import DataError, ParameterError
@@ -81,7 +81,6 @@ class GofResult:
     cm_stat: float
     ks_p: float
     cm_p: float
-    n: int
 
 
 def sup_distance(pvals):
@@ -235,32 +234,7 @@ def run_gof_test(series, quantiles, dist_ks, dist_cm):
     cm = float(np.sum(y * y) * g.weight)
     return GofResult(ks_stat=ks, cm_stat=cm,
                      ks_p=float(p_value(ks, dist_ks)),
-                     cm_p=float(p_value(cm, dist_cm)), n=n)
-
-
-def dominant_mode_cdf(kind, spectrum, k):
-    """Closed-form CDF approximations when one eigenvalue dominates.
-
-    KS: the bridge is nearly U_0 sqrt(lambda_0) z_0, so KS is |Gaussian|
-    with width kappa* = sqrt(sum_j lambda_j U_j(u*)^2) evaluated where
-    |U_0| peaks (the sub-dominant modes widen the Gaussian but it remains
-    Gaussian to second order), giving erf(k / (sqrt(2) kappa*)).
-    CM: lambda_0 z_0^2 is a one-degree chi-square, giving
-    erf(sqrt(k / (2 lambda_0))).
-    """
-    lam = spectrum.eigenvalues
-    if lam[0] <= 0:
-        raise ParameterError("dominant eigenvalue must be positive")
-    k = np.asarray(k, dtype=float)
-    if kind == "cm":
-        out = erf(np.sqrt(np.clip(k, 0.0, None) / (2.0 * lam[0])))
-    elif kind == "ks":
-        peak = int(np.argmax(np.abs(spectrum.eigenvectors[:, 0])))
-        kappa_star = math.sqrt(float(np.sum(lam * spectrum.eigenvectors[peak, :] ** 2)))
-        out = erf(np.clip(k, 0.0, None) / (math.sqrt(2.0) * kappa_star))
-    else:
-        raise ParameterError(f"kind must be 'ks' or 'cm', got {kind!r}")
-    return out if out.ndim else float(out)
+                     cm_p=float(p_value(cm, dist_cm)))
 
 
 def reduction_ratio(dep, iid, u):

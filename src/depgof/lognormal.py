@@ -203,11 +203,6 @@ class LagCoefficients:
     beta: float
     rho: float
 
-    @property
-    def outside_weak_regime(self):
-        """True when any coefficient exceeds 0.3 and the linearization is suspect."""
-        return max(abs(self.alpha), abs(self.beta), abs(self.rho)) > 0.3
-
 
 def expansion_surface(grid, coeffs, basis=None):
     """Full grid surface uv + expansion excess, as a CopulaSurface; its values

@@ -12,11 +12,12 @@ comments).  Each stage takes its inputs as objects and, given an
 verb reads a stage's inputs back from the outdir with the loaders next to
 the writers (``load_panel``, ``load_psi``, ``load_kernel``, ``load_laws``),
 so ``pipeline`` and the verb chain write the same bytes.  A loader refuses
-an artifact of another header kind or grid, and a generated panel that is
-not n x replications, with a DataError naming the file.  Matrices are CSV
-rows under a one-line header ``# depgof <kind> m=<M> lag=<t>``, laws
-single-column sorted samples, results one JSON object per line (name, ks,
-cm, p_ks, p_cm).  Every numeric CSV is written by ``_write_csv`` and read,
+an artifact of another header kind or grid, a generated panel that is not
+n x replications, and a psi.csv that is not symmetric or was estimated at
+another t_max than a configured one, with a DataError naming the file.
+Matrices are CSV rows under a one-line header ``# depgof <kind> m=<M>
+lag=<t>``, laws single-column sorted samples, results one JSON object per
+line (name, ks, cm, p_ks, p_cm).  Every numeric CSV is written by ``_write_csv`` and read,
 input panels included, by ``_read_rows``, which refuses a cell that does not
 parse or is not finite with a DataError naming the file, row and column.
 ``test_panel`` reads each column's empirical CDF at its target's quantiles
@@ -338,8 +339,18 @@ def load_panel(config):
 
 
 def load_psi(config):
-    """The PsiSurface that estimate_psi wrote to outdir."""
-    _, lag, values = _grid_matrix(config, "psi.csv", "estimate", "psi")
+    """The PsiSurface that estimate_psi wrote to outdir, or None for a synthetic
+    model, whose kernel is analytic.  Refuses a Psi that is not symmetric, or
+    whose lag (the t_max it was estimated at) is not a t_max the config sets."""
+    if config.model != "empirical":
+        return None
+    path, lag, values = _grid_matrix(config, "psi.csv", "estimate", "psi")
+    if config.t_max and lag != config.t_max:
+        raise DataError(f"{path} was estimated at t_max={lag}; the config has "
+                        f"t_max={config.t_max}")
+    asym = np.abs(values - values.T).max()
+    if asym > 1e-12 * max(1.0, np.abs(values).max()):
+        raise DataError(f"{path}: Psi is not symmetric (max asymmetry {asym:.2e})")
     return copulas.PsiSurface(grid=QuantileGrid(config.grid_m), values=values, t_max=lag)
 
 

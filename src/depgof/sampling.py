@@ -66,10 +66,6 @@ class FgnLogVolParams:
             raise ParameterError(f"scale must be positive, got sigma2={self.sigma2}")
 
     @property
-    def hurst(self):
-        return (2.0 - self.nu) / 2.0
-
-    @property
     def stationary_var(self):
         """V[omega] = Sigma^2 (the lag-0 autocovariance)."""
         return self.sigma2
@@ -127,7 +123,8 @@ def gen_ar1_logvol(params, n, seed, return_logvol=False):
         A sequence of k seeds gives an (n, k) panel whose column j is the
         series of seed j.
     return_logvol : bool
-        Also return the latent omega path (diagnostics and tests).
+        Also return the latent omega path, which no stage reads: it is kept
+        so that tests can check the log-vol law the series is built from.
 
     Notes
     -----
@@ -205,6 +202,7 @@ def gen_fgn_logvol(params, n, seed, return_logvol=False):
     The omega vector is exactly Gaussian with the fgn_covariance matrix,
     synthesized by lower-triangular factorization (exact at desk scale,
     n <= a few thousand; circulant embedding would only be an optimization).
+    ``return_logvol`` also returns omega, for the tests, as in gen_ar1_logvol.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")

@@ -12,7 +12,6 @@ from scipy.stats import kstest, norm
 from depgof import (
     Ar1LogVolParams,
     DataError,
-    KernelMatrix,
     ParameterError,
     PerturbativeInputs,
     QuantileGrid,
@@ -21,7 +20,6 @@ from depgof import (
     brownian_bridge_kernel,
     build_kernel_ar1,
     cm_moments,
-    dominant_mode_cdf,
     eigendecompose,
     gen_ar1_logvol,
     p_value,
@@ -324,38 +322,6 @@ def test_run_gof_grid_mismatch(grid):
     with pytest.raises(ParameterError):
         run_gof_test(np.random.default_rng(1).standard_normal(300),
                      norm.ppf(grid.points), ks2, dist_cm)
-
-
-def test_dominant_mode_single_mode_is_exact():
-    grid = QuantileGrid(30)
-    vec = grid.sine_mode(1)[:, None]
-    lam0 = 0.4
-    spec = Spectrum(grid=grid, eigenvalues=np.array([lam0]), eigenvectors=vec,
-                    digest="rank1")
-    k = np.array([0.05, 0.3, 1.0, 4.0])
-    from scipy.special import erf
-    kappa = math.sqrt(lam0) * np.abs(vec).max()
-    assert_allclose(dominant_mode_cdf("ks", spec, k), erf(k / (math.sqrt(2) * kappa)),
-                    rtol=1e-12)
-    assert_allclose(dominant_mode_cdf("cm", spec, k), erf(np.sqrt(k / (2 * lam0))),
-                    rtol=1e-12)
-    assert dominant_mode_cdf("ks", spec, 50.0) == pytest.approx(1.0)
-    with pytest.raises(ParameterError):
-        dominant_mode_cdf("ad", spec, 1.0)
-
-
-def test_dominant_mode_strong_dependence_regime(grid, basis):
-    # one big mode: I + 135 * (unit-trace A projector)
-    a, _ = basis.tables(grid)
-    ua = a / math.sqrt(grid.integrate(a * a))
-    u = grid.points
-    values = np.minimum.outer(u, u) - np.outer(u, u) + 135 * np.outer(ua, ua)
-    spec = eigendecompose(KernelMatrix(grid=grid, values=values))
-    ks, _ = simulate_statistic_distribution(spec, 200_000, seed=53)
-    for q in (0.5, 0.7, 0.9, 0.97):
-        k = np.quantile(ks.samples, q)
-        mc = np.searchsorted(ks.samples, k, side="right") / ks.n_trials
-        assert abs(dominant_mode_cdf("ks", spec, k) - mc) < 0.02
 
 
 def test_reduction_ratio(grid):

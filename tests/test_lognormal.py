@@ -137,11 +137,6 @@ def test_expansion_median_matches_blomqvist_relation():
     assert_allclose(_excess(rho_only)[4, 4], 0.3 / (2 * math.pi), atol=1e-6)
 
 
-def test_weak_regime_flag():
-    assert not LagCoefficients(t=1, alpha=0.2, beta=0.1, rho=-0.2).outside_weak_regime
-    assert LagCoefficients(t=1, alpha=0.4, beta=0.0, rho=0.0).outside_weak_regime
-
-
 def test_fit_roundtrip_is_exact(grid):
     truth = LagCoefficients(t=3, alpha=0.1, beta=0.02, rho=-0.05)
     surf = expansion_surface(grid, truth)

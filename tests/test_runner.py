@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
+import depgof
 from depgof import (
     ConfigError,
     DataError,
@@ -440,6 +443,38 @@ def test_cli_kernel_refuses_a_nan_in_psi(tmp_path, capsys):
     assert (out / "kernel.csv").read_bytes() == kernel
 
 
+def test_cli_kernel_refuses_an_asymmetric_psi(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    cfg = _write(tmp_path, "e.cfg", f"model=empirical\ngrid_m=20\noutdir={out}\n")
+    psi = np.zeros((20, 20))
+    psi[2, 5] = 0.3   # an estimate writes Psi[5, 2] too
+    write_matrix(str(out / "psi.csv"), "psi", psi, lag=3)
+    assert main(["kernel", "-c", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "psi.csv: Psi is not symmetric (max asymmetry 3.00e-01)" in err
+    assert not (out / "kernel.csv").exists()
+    psi[5, 2] = 0.3
+    write_matrix(str(out / "psi.csv"), "psi", psi, lag=3)
+    assert main(["kernel", "-c", cfg]) == 0
+
+
+def test_cli_kernel_refuses_psi_of_another_t_max(tmp_path, capsys):
+    rng = np.random.default_rng(37)
+    rows = ["a,b,c"] + [",".join(f"{v:.10g}" for v in r) for r in rng.standard_normal((200, 3))]
+    data = _write(tmp_path, "in.csv", "\n".join(rows) + "\n")
+    out = tmp_path / "e"
+    text = f"model=empirical\ninput={data}\ngrid_m=10\noutdir={out}\n"
+    assert main(["estimate", "-c", _write(tmp_path, "t3.cfg", text + "t_max=3\n")]) == 0
+    capsys.readouterr()
+    assert main(["kernel", "-c", _write(tmp_path, "t4.cfg", text + "t_max=4\n")]) == 3
+    err = capsys.readouterr().err
+    assert "psi.csv was estimated at t_max=3; the config has t_max=4" in err
+    assert not (out / "kernel.csv").exists()
+    # an auto t_max is not checked: it would need the input's row count
+    assert main(["kernel", "-c", _write(tmp_path, "auto.cfg", text)]) == 0
+
+
 def test_cli_law_refuses_an_inf_in_kernel(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
@@ -588,6 +623,32 @@ def test_one_thread_pool():
     pools = [(path.stem, fn) for path in sorted(src.glob("*.py")) for fn, call in _calls(path)
              if getattr(call.func, "attr", getattr(call.func, "id", None)) == "ThreadPoolExecutor"]
     assert pools == [("_pool", "map_ordered")]
+
+
+def test_every_public_name_has_a_caller():
+    # each exported function or class is used, outside its own definition, by the
+    # package, a demo or the acceptance criteria, and not by its own tests only
+    root = Path(__file__).resolve().parents[1]
+    files = ([p for p in sorted((root / "src" / "depgof").glob("*.py")) if p.name != "__init__.py"]
+             + sorted((root / "demos").glob("*.py")) + [root / "tests" / "test_acceptance.py"])
+    texts = {p: p.read_text(encoding="utf-8") for p in files}
+    unused = []
+    for name in depgof.__all__:
+        obj = getattr(depgof, name)
+        if isinstance(obj, types.ModuleType) or (isinstance(obj, type)
+                                                 and issubclass(obj, Exception)):
+            continue
+        own = root / "src" / "depgof" / f"{obj.__module__.split('.')[-1]}.py"
+        lines = texts[own].splitlines()
+        for top in ast.parse(texts[own]).body:
+            if getattr(top, "name", None) == name:
+                first = min([top.lineno] + [d.lineno for d in top.decorator_list])
+                lines[first - 1:top.end_lineno] = []
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search("\n".join(lines) if p == own else text)
+                   for p, text in texts.items()):
+            unused.append(name)
+    assert unused == []
 
 
 def test_tracer_names_exist():

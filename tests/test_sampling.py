@@ -157,7 +157,6 @@ def test_fgn_alpha_values():
     # iid boundary: second difference of t^1 vanishes for t >= 1
     iid = FgnLogVolParams(nu=1.0, sigma2=1.0)
     assert_allclose(fgn_alpha(iid, np.arange(1, 10)), 0.0, atol=1e-12)
-    assert iid.hurst == 0.5
 
 
 def test_fgn_alpha_power_law_tail():
