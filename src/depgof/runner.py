@@ -20,12 +20,19 @@ lag=<t>``, laws single-column sorted samples, results one JSON object per
 line (name, ks, cm, p_ks, p_cm).  Every numeric CSV is written by ``_write_csv`` and read,
 input panels included, by ``_read_rows``, which refuses a cell that does not
 parse or is not finite with a DataError naming the file, row and column.
+``_write_csv`` writes the bytes of np.savetxt's ``%.17g``, a block of
+numbers at a time through ``_csvtext.format_block``: a zero or a finite
+value with 1e-4 <= |x| < 1e16 is rounded to its 17 digits exactly in array
+arithmetic, and any other value (a nonzero |x| < 1e-4, |x| >= 1e16, nan,
+inf) is formatted by Python's ``%``.  ``load_laws`` refuses a law whose
+sample count is not the config's ``n_trials``.
 ``test_panel`` reads each column's empirical CDF at its target's quantiles
 of the grid levels, so the target CDF is never evaluated at the samples.
 
-The ``threads`` key (>= 1) sets the worker count of the stages whose units
-are independent: the Monte-Carlo law chunks, the lags of ``estimate_psi``
-and the distinct volatility scales of ``test_panel``'s target quantiles.
+The ``threads`` key (>= 1; by default the CPUs the process may run on)
+sets the worker count of the stages whose units are independent: the
+Monte-Carlo law chunks, the lags of ``estimate_psi`` and the distinct
+volatility scales of ``test_panel``'s target quantiles.
 Their workers run through ``_pool.map_ordered``, which holds numpy's
 OpenBLAS at one thread while they run, so such a stage runs ``threads``
 compute threads in all; where numpy has no OpenBLAS of its own, the map
@@ -45,12 +52,13 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import copulas, kernels, limit_law, lognormal, sampling
+from ._csvtext import format_block
 from ._pool import map_ordered
 from .errors import ConfigError, DataError, ParameterError
 from .grid import QuantileGrid
@@ -61,6 +69,15 @@ _PANEL_STREAM = 1   # spawn-key prefix of panel columns; law chunk j uses the ke
 _WRITE_BLOCK = 8192   # numbers formatted per write
 # settings each `reproduce` experiment reads its config file over
 PRESETS = {"fig2": {}, "fig3": {"n": 1500, "sigma2": 1.0}}
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on: its affinity set, where the
+    OS keeps one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -80,7 +97,7 @@ class PipelineConfig:
     s: float = 0.5
     target: str = "volmodel"
     target_s2: float = -1.0   # >=0 fixes s^2; <0 = model V[omega], or leave-one-out
-    threads: int = 1
+    threads: int = field(default_factory=_usable_cpus)
     input: str = ""
     outdir: str = "depgof-out"
 
@@ -205,17 +222,23 @@ def standardize(panel):
 # --- artifact IO -----------------------------------------------------------
 
 def _write_csv(path, header, values):
-    """The line ``header``, then the rows of a 2-D array as comma-separated %.17g,
-    the bytes np.savetxt writes, _WRITE_BLOCK // columns rows per string
-    operation: a whole array at once would add its text to peak memory."""
+    """The line ``header``, then the rows of a 2-D array as comma-separated %.17g:
+    the bytes np.savetxt(fmt="%.17g", delimiter=",") writes.
+
+    ``_csvtext.format_block`` formats _WRITE_BLOCK // columns rows at a time
+    with array operations, exactly: a finite value with 1e-4 <= |x| < 1e16,
+    or a zero, is rounded to 17 digits in integer arithmetic, and any other
+    (a nonzero |x| < 1e-4, |x| >= 1e16, nan, inf) falls back to Python's
+    ``%``.  A block at a time keeps the text out of peak memory."""
     rows, cols = values.shape
     step = max(1, _WRITE_BLOCK // cols)
-    line = ",".join(["%.17g"] * cols) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    row_seps = np.full(cols, ord(","), dtype=np.uint8)
+    row_seps[-1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, rows, step):
             block = values[start:start + step]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(format_block(block.ravel(), np.tile(row_seps, len(block))))
 
 
 def _read_rows(path, fh, columns):
@@ -364,8 +387,18 @@ def load_kernel(config):
 
 
 def load_laws(config):
-    """The (KS, CM) laws that simulate_laws wrote to outdir."""
-    return [read_distribution(_artifact(config, f"law_{k}.csv", "law"), k) for k in ("ks", "cm")]
+    """The (KS, CM) laws that simulate_laws wrote to outdir.  Refuses a law
+    whose sample count is not the config's n_trials: drawn at another
+    n_trials, or cut short."""
+    laws = []
+    for kind in ("ks", "cm"):
+        path = _artifact(config, f"law_{kind}.csv", "law")
+        law = read_distribution(path, kind)
+        if law.n_trials != config.n_trials:
+            raise DataError(f"{path} holds {law.n_trials} samples; the config has "
+                            f"n_trials={config.n_trials}")
+        laws.append(law)
+    return laws
 
 
 # --- pipeline stages -------------------------------------------------------

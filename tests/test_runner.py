@@ -45,10 +45,13 @@ from depgof.runner import (
     _scale_quantiles,
     _target_quantiles,
     _write_csv,
+    build_kernel,
+    diagonalize,
     estimate_psi,
     generate_panel,
     read_distribution,
     read_matrix,
+    simulate_laws,
     write_distribution,
     write_matrix,
 )
@@ -531,6 +534,41 @@ def test_cli_test_refuses_laws_of_another_grid(tmp_path, capsys):
     assert not (out / "results.jsonl").exists()
 
 
+def _law_then_test(tmp_path, law_trials, test_trials, edit=None):
+    """Exit code of `test` at test_trials on laws drawn at law_trials, and the outdir."""
+    out = tmp_path / "laws"
+    text = f"model=iid\nn=300\nreplications=5\ngrid_m=20\noutdir={out}\n"
+    cfg_law = _write(tmp_path, "law.cfg", text + f"n_trials={law_trials}\n")
+    cfg_test = _write(tmp_path, "test.cfg", text + f"n_trials={test_trials}\n")
+    for verb in (["generate", "--seed", "5"], ["kernel"], ["law", "--seed", "6"]):
+        assert main([verb[0], "-c", cfg_law] + verb[1:]) == 0
+    if edit:
+        edit(out)
+    return main(["test", "-c", cfg_test]), out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+def test_cli_test_refuses_laws_of_another_n_trials(tmp_path, capsys):
+    code, out = _law_then_test(tmp_path, 5000, 20000)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "law_ks.csv" in err and "5000 samples" in err and "n_trials=20000" in err
+    assert not (out / "results.jsonl").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+def test_cli_test_refuses_a_truncated_law(tmp_path, capsys):
+    def truncate(out):   # the header and the first 1000 of 5000 samples
+        law = out / "law_cm.csv"
+        law.write_text("".join(law.read_text().splitlines(keepends=True)[:1001]))
+
+    code, out = _law_then_test(tmp_path, 5000, 5000, edit=truncate)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "law_cm.csv" in err and "1000 samples" in err and "n_trials=5000" in err
+    assert not (out / "results.jsonl").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
 def test_cli_refuses_a_generated_panel_of_another_length(tmp_path, capsys):
     out = tmp_path / "fgn"
@@ -735,6 +773,17 @@ def test_law_threads_do_not_change_artifacts(tmp_path):
         run_pipeline(config)
         digests.append(_hash_dir(config.outdir))
     assert digests[0] == digests[1]
+
+
+def test_default_threads_are_the_usable_cpus_and_change_no_law(tmp_path):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert PipelineConfig().threads == parse_config_text("").threads == cpus
+    spectrum = diagonalize(build_kernel(PipelineConfig(model="ar1", grid_m=20)))
+    laws = [simulate_laws(spectrum, config, seed=4)   # 40000 trials are three law chunks
+            for config in (PipelineConfig(grid_m=20, n_trials=40_000),
+                           PipelineConfig(grid_m=20, n_trials=40_000, threads=1))]
+    for default, one in zip(*laws):
+        assert default.samples.tobytes() == one.samples.tobytes()
 
 
 def _dir_bytes(path):
