@@ -19,7 +19,6 @@ from .copulas import (
     frechet_bounds,
     psi_accumulate,
     rank_panel,
-    self_copula_at_lag,
 )
 from .errors import ConfigError, DataError, DepgofError, NumericalError, ParameterError
 from .grid import QuantileGrid

@@ -10,7 +10,7 @@ line; ``pipeline`` chains the stages in memory and writes the same files:
     depgof law       -c cfg --seed S      spectrum and Monte-Carlo statistic laws
     depgof test      -c cfg               per-series GoF results (JSONL)
     depgof pipeline  -c cfg [--seed S]    all stages in one run
-    depgof reproduce fig2|fig3 -c cfg [--seed S]   the synthetic experiments
+    depgof reproduce EXP -c cfg [--seed S]   a synthetic experiment of runner.PRESETS
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical error.
 """
@@ -106,7 +106,7 @@ def build_parser():
         _add_common(sub, seed)
         sub.set_defaults(fn=fn)
     sub = subs.add_parser("reproduce")
-    sub.add_argument("experiment", choices=["fig2", "fig3"])
+    sub.add_argument("experiment", choices=sorted(runner.PRESETS))
     _add_common(sub, "optional")
     sub.set_defaults(fn=cmd_reproduce)
     return parser

@@ -4,19 +4,6 @@ The limiting bridge is synthesized from a kernel spectrum as
 y = U Lambda^{1/2} z with iid standard normal z, giving one M-vector per
 trial; the statistics are KS = max_i |y_i| and CM = sum_i y_i^2 / (M+1)
 (the quadrature weight of the grid, so that E[CM] = Tr H exactly).
-
-Trials are generated in fixed-size chunks whose generators are spawned
-from (seed, chunk index), so results are bitwise reproducible and
-independent of how chunks are scheduled across workers.  The workers run
-through ``_pool.map_ordered``, which holds numpy's OpenBLAS at one thread
-while they draw, so n_threads workers run n_threads compute threads, not
-n_threads times OpenBLAS's own count; a product splits its output, not its
-sums, across OpenBLAS's threads, so the pin changes no sample.  Each
-chunk's draw writes its statistics straight into its slices of the two
-n_trials sample arrays, which are then sorted in place.  The spectral draw
-fills its chunk in row blocks of _BLOCK rows, drawn in order from the
-chunk's stream through two buffers of the block's size, so a worker's
-working set is _BLOCK * (n_modes + M) doubles whatever n_trials is.
 Distributions are immutable sorted sample arrays; p-values use the
 upper-tail (r+1)/(n_trials+1) convention, which never returns zero.
 """
@@ -54,23 +41,6 @@ class StatisticDistribution:
     @property
     def n_trials(self):
         return self.samples.size
-
-    def quantile(self, u):
-        """np.quantile's linear rule, bitwise, read off the sorted samples: the
-        value at fractional index h = (n - 1) u, interpolated from whichever
-        neighbour is nearer, as numpy does.  At h = n - 1 numpy reads the
-        last sample with weight h + 1, which keeps the sign of a -0.0."""
-        u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0.0) & (u <= 1.0)):
-            raise ParameterError("quantile level must lie in [0,1]")
-        h = (self.n_trials - 1) * u
-        below = np.floor(h)
-        last = self.n_trials - 1
-        t = np.where(h >= last, h + 1.0, h - below)
-        a = self.samples[np.minimum(below, last).astype(np.intp)]
-        b = self.samples[np.minimum(below + 1.0, last).astype(np.intp)]
-        step = b - a
-        return np.where(t >= 0.5, b - step * (1.0 - t), a + step * t)[()]
 
 
 @dataclass(frozen=True)
@@ -129,7 +99,9 @@ def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
     Both statistics are computed from the same draws.  Trials come in
     fixed chunks of 16384 seeded by (seed, chunk), so the result does not
     depend on n_threads.  A chunk is drawn in row blocks of 8192, one
-    matrix product each, in the order of its stream.
+    matrix product each, in the order of its stream, through two buffers of
+    the block's size, so a worker's working set is 8192 * (n_modes + M)
+    doubles whatever n_trials is.
     """
     if 1 <= n_trials < 10_000:
         warnings.warn(f"n_trials={n_trials} is small for quantile use; "
@@ -238,9 +210,13 @@ def run_gof_test(series, quantiles, dist_ks, dist_cm):
 
 
 def reduction_ratio(dep, iid, u):
-    """Quantile ratio dep/iid at level u: the effective sample-size deflation sqrt(N/N_eff)."""
+    """Quantile ratio dep/iid at the level or levels u, each quantile by np.quantile's
+    linear rule: the effective sample-size deflation sqrt(N/N_eff).  A float for a
+    scalar u, else an array of u's shape."""
     if dep.kind != iid.kind:
         raise ParameterError(f"distribution kinds differ: {dep.kind} vs {iid.kind}")
-    if not 0.0 < u < 1.0:
-        raise ParameterError("quantile level must be inside (0,1)")
-    return float(dep.quantile(u) / iid.quantile(u))
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < 1.0)):
+        raise ParameterError("quantile levels must lie inside (0,1)")
+    ratio = np.quantile(dep.samples, u) / np.quantile(iid.samples, u)
+    return float(ratio) if u.ndim == 0 else ratio

@@ -20,16 +20,7 @@ when the expansion should match a specific generator.
 All integrals over w use Gauss-Hermite quadrature.  The default node
 count is chosen so that doubling it moves the basis tables by less than
 1e-9.  The nodes are computed once per node count and shared read-only by
-every basis.  Quantiles come from one vectorized Newton solve over all
-levels, safeguarded by a bracket: the CDF and the density of a step come
-from the same quadrature pass.  The steps start from the Gaussian
-quantiles, or from a guess: vol_model_quantiles can start a scale from
-the Lagrange polynomial through the quantiles of anchor scales, which
-takes about 2 steps instead of 7 when the scales lie within 0.4 % of
-each other, as the leave-one-out scales of a panel do.  The grid
-quantiles, and the A and R tables at them, are each cached on first use
-(a test needs only the quantiles) and are safe to share across threads
-read-only; a solve from anchors bypasses that cache.
+every basis.
 """
 
 import functools
@@ -87,8 +78,9 @@ class LogNormalVolBasis:
     def quantile(self, u, start=None):
         """Inverse marginal CDF of every level at once, by Newton steps kept inside a
         bracket (a step that leaves it bisects it) until a step or the bracket is
-        below 1e-13.  The steps start from ``start``, a finite guess of F^{-1}(u) of
-        u's shape, or by default from the Gaussian quantile ndtri(u)."""
+        below 1e-13; a step reads the CDF and the density off one set of quadrature
+        points.  The steps start from ``start``, a finite guess of F^{-1}(u) of u's
+        shape, or by default from the Gaussian quantile ndtri(u)."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
             raise ParameterError("quantile level must lie strictly inside (0,1)")
@@ -140,15 +132,16 @@ class LogNormalVolBasis:
     @functools.cache
     def quantiles(self, grid):
         """Marginal quantiles F^{-1}(u_i) of the grid levels, solved once per grid
-        and cached."""
+        and cached read-only, so threads may share them.  A test needs only these,
+        so they are cached apart from the tables."""
         q = self.quantile(grid.points)
         q.flags.writeable = False
         return q
 
     @functools.cache
     def tables(self, grid):
-        """(A, R) tabulated at the grid's cached quantiles, once per grid and cached;
-        on an odd grid u = 1/2 is a node, where A = 0 and R = (2 pi)^{-1/2}."""
+        """(A, R) tabulated at the grid's cached quantiles, once per grid and cached
+        read-only; on an odd grid u = 1/2 is a node, where A = 0 and R = (2 pi)^{-1/2}."""
         q = self.quantiles(grid)
         a, r = self._expect(_dphi, q), self._expect(_phi, q)
         a.flags.writeable = False
@@ -175,7 +168,9 @@ def vol_model_cdf(x, s):
 
     This is the reference CDF rescaled: P[X <= x] = F_s(x e^{s^2}).  It is
     the exact null marginal for all three generators in ``sampling`` with
-    s^2 = V[omega].
+    s^2 = V[omega].  No stage calls it, since ``test`` reads quantiles; it
+    stays public because perfbench imports it from the package to check its
+    oracle's CDF against, and its tracer rebinds it.
     """
     basis = get_basis(s)
     return basis.cdf(np.asarray(x, dtype=float) * math.exp(s * s))
@@ -186,7 +181,9 @@ def vol_model_quantiles(grid, s, anchors=()):
     e^{-s^2}, the inverse of vol_model_cdf.  F_s^{-1}(u_i) is the shared basis's
     cached solve or, given ``anchors`` (other scales), a solve on a basis of its
     own that starts from the Lagrange polynomial in s through the anchors' cached
-    F^{-1}(u_i), and neither reads nor fills the cache of scale s."""
+    F^{-1}(u_i), and neither reads nor fills the cache of scale s.  From anchors
+    a solve takes about 2 Newton steps instead of 7 when the scales lie within
+    0.4 % of each other, as the leave-one-out scales of a panel do."""
     if not anchors:
         return get_basis(s).quantiles(grid) * math.exp(-s * s)
     start = sum(get_basis(a).quantiles(grid) * math.prod((s - b) / (a - b) for b in anchors

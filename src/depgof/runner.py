@@ -12,45 +12,29 @@ comments).  Each stage takes its inputs as objects and, given an
 verb reads a stage's inputs back from the outdir with the loaders next to
 the writers (``load_panel``, ``load_psi``, ``load_kernel``, ``load_laws``),
 so ``pipeline`` and the verb chain write the same bytes.  A loader refuses
-an artifact of another header kind or grid, a generated panel that is not
-n x replications, and a psi.csv that is not symmetric or was estimated at
-another t_max than a configured one, with a DataError naming the file.
+an artifact that does not fit the config with a DataError naming the file;
+each loader's docstring says what it checks.
 Matrices are CSV rows under a one-line header ``# depgof <kind> m=<M>
 lag=<t>``, laws single-column sorted samples, results one JSON object per
 line (name, ks, cm, p_ks, p_cm).  Every numeric CSV is written by ``_write_csv`` and read,
 input panels included, by ``_read_rows``, which refuses a cell that does not
 parse or is not finite with a DataError naming the file, row and column.
-``_write_csv`` writes the bytes of np.savetxt's ``%.17g``, a block of
-numbers at a time through ``_csvtext.format_block``: a zero or a finite
-value with 1e-4 <= |x| < 1e16 is rounded to its 17 digits exactly in array
-arithmetic, and any other value (a nonzero |x| < 1e-4, |x| >= 1e16, nan,
-inf) is formatted by Python's ``%``.  ``load_laws`` refuses a law whose
-sample count is not the config's ``n_trials``.
 ``test_panel`` reads each column's empirical CDF at its target's quantiles
 of the grid levels, so the target CDF is never evaluated at the samples.
 
 The ``threads`` key (>= 1; by default the CPUs the process may run on)
 sets the worker count of the stages whose units are independent: the
 Monte-Carlo law chunks, the lags of ``estimate_psi`` and the distinct
-volatility scales of ``test_panel``'s target quantiles.
-Their workers run through ``_pool.map_ordered``, which holds numpy's
-OpenBLAS at one thread while they run, so such a stage runs ``threads``
-compute threads in all; where numpy has no OpenBLAS of its own, the map
-leaves the BLAS alone.  Each unit's arithmetic does not depend on
+volatility scales of ``test_panel``'s target quantiles, each mapped by
+``_pool.map_ordered``.  Each unit's arithmetic does not depend on
 ``threads``, and its results are combined in a fixed order, so it changes
-no result.  All stages are deterministic given the config and seed.  Of
-more than three distinct scales, the smallest, middle and largest are
-solved cold and the others start from the quadratic through those three,
-so a column's quantiles depend on the panel's scales but not on `threads`
-or on what the process solved before.  A one-column empirical panel has no
-other column to calibrate its leave-one-out scale on, so ``test`` refuses
-it unless ``target_s2`` is set, and ``run_pipeline`` does so before its
-first stage writes.
+no result.  All stages are deterministic given the config and seed.
 """
 
 import json
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -67,8 +51,12 @@ _MODELS = ("empirical", "ar1", "fgn", "iid")
 _TARGETS = ("volmodel", "gaussian")
 _PANEL_STREAM = 1   # spawn-key prefix of panel columns; law chunk j uses the key (j,)
 _WRITE_BLOCK = 8192   # numbers formatted per write
-# settings each `reproduce` experiment reads its config file over
-PRESETS = {"fig2": {}, "fig3": {"n": 1500, "sigma2": 1.0}}
+# The `reproduce` experiments.  Each forces its model over the config's, and the CLI
+# reads the config file over its other settings.  fig2, AR(1) log-vol series: with
+# the naive iid laws the p-values pile up near zero, with the corrected laws they
+# are uniform.  fig3, long-memory FGN series: the corrected law improves the
+# p-value distribution without making it exactly uniform.
+PRESETS = {"fig2": {"model": "ar1"}, "fig3": {"model": "fgn", "n": 1500, "sigma2": 1.0}}
 
 
 def _usable_cpus():
@@ -128,10 +116,12 @@ _FIELD_TYPES = {f.name: f.type for f in PipelineConfig.__dataclass_fields__.valu
 
 def parse_config_text(text, preset=None):
     """Parse ``key=value`` lines into a PipelineConfig; a line overrides the
-    ``preset`` dict, which overrides the field defaults."""
+    ``preset`` dict, which overrides the field defaults.  A ``#`` at the start
+    of a line or after whitespace starts a comment; any other is part of the
+    value, as in ``outdir = runs/exp#2``."""
     values = dict(preset or {})
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -336,7 +326,8 @@ def _artifact(config, name, verb):
 
 
 def _grid_matrix(config, name, verb, kind):
-    """(path, lag, values) of a ``kind`` matrix artifact on the config's grid."""
+    """(path, lag, values) of a ``kind`` matrix artifact on the config's grid;
+    refuses another kind or grid."""
     path = _artifact(config, name, verb)
     found, m, lag, values = read_matrix(path)
     if (found, m) != (kind, config.grid_m):
@@ -347,8 +338,8 @@ def _grid_matrix(config, name, verb, kind):
 
 def load_panel(config):
     """The panel to estimate from and test: the standardized ``input`` for the
-    empirical model, else the n x replications panel.csv that generate_panel
-    wrote to outdir."""
+    empirical model, else the panel.csv that generate_panel wrote to outdir,
+    which it refuses unless it is n x replications."""
     if config.model == "empirical":
         if not config.input:
             raise ConfigError("empirical model requires input=<panel.csv>")
@@ -590,24 +581,15 @@ def run_pipeline(config):
 
 
 def reproduce(which, config):
-    """End-to-end synthetic experiments comparing naive and corrected laws.
-
-    ``fig2``: AR(1) log-vol series (g=0.88, Sigma^2=0.05, N=2500 by default);
-    with the naive iid laws the p-values pile up near zero, with the
-    dependence-corrected laws they are uniform.
-    ``fig3``: long-memory FGN series (nu=2/5; ``depgof reproduce fig3`` reads
-    its config over ``PRESETS["fig3"]``, Sigma^2=1, N=1500); the corrected
-    law improves the p-value distribution without making it exactly uniform.
+    """The synthetic experiment ``which`` of PRESETS, end to end, under the
+    naive and the corrected laws, with the experiment's model.
 
     Emits plot-ready tables: per-replication p-values under both laws,
     quantile reduction ratios, and a JSON summary with uniformity tests.
     """
-    if which == "fig2":
-        config = replace(config, model="ar1")
-    elif which == "fig3":
-        config = replace(config, model="fgn")
-    else:
-        raise ConfigError(f"unknown experiment {which!r} (use fig2 or fig3)")
+    if which not in PRESETS:
+        raise ConfigError(f"unknown experiment {which!r} (use one of {sorted(PRESETS)})")
+    config = replace(config, model=PRESETS[which]["model"])
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
     panel = generate_panel(config, outdir=outdir)
@@ -622,11 +604,8 @@ def reproduce(which, config):
                           filename="results_corrected.jsonl")
 
     levels = np.round(np.arange(0.05, 1.0, 0.05), 2)
-    ratios = np.column_stack([
-        levels,
-        [limit_law.reduction_ratio(corr_ks, iid_ks, u) for u in levels],
-        [limit_law.reduction_ratio(corr_cm, iid_cm, u) for u in levels],
-    ])
+    ratios = np.column_stack([levels, limit_law.reduction_ratio(corr_ks, iid_ks, levels),
+                              limit_law.reduction_ratio(corr_cm, iid_cm, levels)])
     _write_csv(os.path.join(outdir, "reduction_ratios.csv"), "level,ratio_ks,ratio_cm", ratios)
 
     summary = {"experiment": which, "model": config.model,

@@ -20,10 +20,9 @@ from depgof import (
     frechet_bounds,
     gen_ar1_logvol,
     psi_accumulate,
-    self_copula_at_lag,
 )
 from depgof import copulas
-from depgof.copulas import copula_thresholds, product_copula, rank_panel
+from depgof.copulas import copula_thresholds, product_copula, rank_panel, self_copula_at_lag
 
 from conftest import gaussian_copula
 

@@ -152,7 +152,7 @@ def test_spectrum_and_bridge_routes_agree(grid):
     db = np.searchsorted(ks_b.samples, kgrid) / ks_b.n_trials
     assert np.all(db <= da + 0.005)
     levels = np.arange(0.1, 1.0, 0.1)
-    assert np.all(ks_b.quantile(levels) > ks_a.quantile(levels))
+    assert np.all(np.quantile(ks_b.samples, levels) > np.quantile(ks_a.samples, levels))
     cgrid = np.linspace(0.02, 1.5, 30)
     da = np.searchsorted(cm_a.samples, cgrid) / cm_a.n_trials
     db = np.searchsorted(cm_b.samples, cgrid) / cm_b.n_trials
@@ -331,41 +331,27 @@ def test_reduction_ratio(grid):
     dep = eigendecompose(build_kernel_ar1(Ar1LogVolParams(0.88, 0.05), grid))
     dep_ks, dep_cm = simulate_statistic_distribution(dep, 50_000, seed=61)
     assert reduction_ratio(dep_ks, iid_ks, 0.95) > 1.0
-    with pytest.raises(ParameterError):
-        reduction_ratio(dep_ks, iid_cm, 0.95)
+    # a level array gives, bitwise, each level's scalar ratio and the ratio of np.quantile's
+    levels = np.round(np.arange(0.05, 1.0, 0.05), 2)
+    ratios = reduction_ratio(dep_cm, iid_cm, levels)
+    assert ratios.shape == levels.shape
+    assert ratios.tobytes() == np.array([reduction_ratio(dep_cm, iid_cm, u)
+                                         for u in levels]).tobytes()
+    assert ratios.tobytes() == (np.quantile(dep_cm.samples, levels)
+                                / np.quantile(iid_cm.samples, levels)).tobytes()
+    assert type(reduction_ratio(dep_cm, iid_cm, levels[3])) is float
+    for bad in (0.0, 1.0, -0.1, np.nan, [0.5, 1.5], [0.0, 0.5], [0.5, np.nan]):
+        with pytest.raises(ParameterError, match="inside"):
+            reduction_ratio(dep_ks, iid_ks, bad)
+    for u in (0.95, levels):
+        with pytest.raises(ParameterError, match="kinds differ"):
+            reduction_ratio(dep_ks, iid_cm, u)
     # reproducible across seeds within 1%
     dep_ks2, _ = simulate_statistic_distribution(dep, 50_000, seed=67)
     iid_ks2, _ = simulate_statistic_distribution(spec, 50_000, seed=71)
     r1 = reduction_ratio(dep_ks, iid_ks, 0.95)
     r2 = reduction_ratio(dep_ks2, iid_ks2, 0.95)
     assert abs(r1 / r2 - 1) < 0.01
-
-
-@settings(max_examples=200, deadline=None)
-@given(samples=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
-       levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
-       scalar=st.booleans())
-@example(samples=[1.0, 2.0], levels=[0.0, 1.0, 0.5], scalar=False)
-@example(samples=[3.0], levels=[0.95], scalar=True)
-@example(samples=[-1.0, 0.0, 0.0, 7.5], levels=[1.0 / 3.0], scalar=True)
-@example(samples=[0.19, 0.8], levels=[0.5], scalar=True)   # the sides round apart at t = 1/2
-@example(samples=[-0.0], levels=[0.0], scalar=False)   # numpy reads the last sample at weight 1
-def test_law_quantile_is_np_quantile(samples, levels, scalar):
-    """The law reads np.quantile's linear rule off its sorted samples, bitwise."""
-    law = StatisticDistribution(kind="ks", samples=np.sort(samples), spectrum_digest="t",
-                                grid_m=10)
-    u = levels[0] if scalar else np.array(levels)
-    got, expected = law.quantile(u), np.quantile(law.samples, u)
-    assert type(got) is type(expected)
-    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
-
-
-def test_law_quantile_levels_lie_in_the_unit_interval():
-    law = StatisticDistribution(kind="cm", samples=np.arange(5.0), spectrum_digest="t",
-                                grid_m=10)
-    for bad in (-0.1, 1.5, np.nan, np.array([0.5, 2.0])):
-        with pytest.raises(ParameterError):
-            law.quantile(bad)
 
 
 def test_grid_refinement_stability():

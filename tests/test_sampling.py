@@ -19,8 +19,8 @@ from depgof import (
     gen_ar1_logvol,
     gen_fgn_logvol,
     gen_iid_lognormal_vol,
-    self_copula_at_lag,
 )
+from depgof.copulas import self_copula_at_lag
 from depgof.runner import generate_panel
 
 AR1 = Ar1LogVolParams(g=0.88, sigma2=0.05)
