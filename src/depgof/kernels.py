@@ -14,9 +14,10 @@ matrix perturbation theory on the kernel's excess over the bridge, and the
 exact Cramer-von Mises density of a spectrum, by inverting its
 characteristic function.
 
-Kernel construction and eigendecomposition are single-threaded per
-kernel; distinct kernels can be processed concurrently.  Spectrum objects
-are immutable after construction.
+Nothing here starts a thread, but the eigendecompositions
+(``np.linalg.eigh``) and matrix products run on OpenBLAS's own threads;
+the pipeline runs them outside its worker pools, at OpenBLAS's own
+thread setting.  Spectrum objects are immutable after construction.
 """
 
 import hashlib

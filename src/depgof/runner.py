@@ -19,6 +19,7 @@ lag=<t>``, laws single-column sorted samples, results one JSON object per
 line (name, ks, cm, p_ks, p_cm).  Every numeric CSV is written by ``_write_csv`` and read,
 input panels included, by ``_read_rows``, which refuses a cell that does not
 parse or is not finite with a DataError naming the file, row and column.
+Every file, the config included, is opened for reading by ``_reading``.
 ``test_panel`` reads each column's empirical CDF at its target's quantiles
 of the grid levels, so the target CDF is never evaluated at the samples.
 
@@ -36,10 +37,10 @@ import math
 import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import copulas, kernels, limit_law, lognormal, sampling
 from ._csvtext import format_block
@@ -48,7 +49,6 @@ from .errors import ConfigError, DataError, ParameterError
 from .grid import QuantileGrid
 
 _MODELS = ("empirical", "ar1", "fgn", "iid")
-_TARGETS = ("volmodel", "gaussian")
 _PANEL_STREAM = 1   # spawn-key prefix of panel columns; law chunk j uses the key (j,)
 _WRITE_BLOCK = 8192   # numbers formatted per write
 # The `reproduce` experiments.  Each forces its model over the config's, and the CLI
@@ -83,8 +83,7 @@ class PipelineConfig:
     sigma2: float = 0.05
     nu: float = 0.4
     s: float = 0.5
-    target: str = "volmodel"
-    target_s2: float = -1.0   # >=0 fixes s^2; <0 = model V[omega], or leave-one-out
+    target_s2: float = -1.0   # >=0 fixes s^2 (0 = N(0,1)); <0 = model V[omega] or leave-one-out
     threads: int = field(default_factory=_usable_cpus)
     input: str = ""
     outdir: str = "depgof-out"
@@ -92,10 +91,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
-        if self.target not in _TARGETS:
-            raise ConfigError(f"target must be one of {_TARGETS}, got {self.target!r}")
-        if self.target == "gaussian" and self.target_s2 >= 0.0:
-            raise ConfigError("target_s2 >= 0 sets a volmodel scale; target = gaussian has none")
+        for name, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.grid_m < 10:
             raise ConfigError(f"grid_m must be >= 10, got {self.grid_m}")
         if self.t_max < 0:
@@ -105,10 +103,6 @@ class PipelineConfig:
         for name, least in (("seed", 0), ("replications", 1), ("threads", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-
-    def resolved_t_max(self, n):
-        t = self.t_max if self.t_max else min(512, n // 2)
-        return max(1, min(t, n - 1))
 
 
 _FIELD_TYPES = {f.name: f.type for f in PipelineConfig.__dataclass_fields__.values()}
@@ -144,10 +138,25 @@ def parse_config_text(text, preset=None):
     return PipelineConfig(**values)
 
 
+@contextmanager
+def _reading(path, error=DataError):
+    """The text file ``path``, open for a streaming read as UTF-8 with any leading
+    byte-order mark dropped.  An OSError (say, ``path`` is a directory) or bytes
+    that are not UTF-8, met on opening or on any read in the block, become
+    ``error`` naming the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def load_config(path, preset=None):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path, ConfigError) as fh:
         return parse_config_text(fh.read(), preset)
 
 
@@ -182,7 +191,7 @@ def ingest_csv(path):
     """
     if not os.path.exists(path):
         raise DataError(f"input file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         header = fh.readline()
         if not header:
             raise DataError(f"{path}: empty file")
@@ -285,7 +294,7 @@ def _parse_header(path, header):
 def read_matrix(path):
     """Return (kind, m, lag, values) from a matrix artifact of m columns and
     m rows (one row for eigenvalues)."""
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         kind, m, lag = _parse_header(path, fh.readline().strip())
         values = _read_rows(path, fh, range(1, m + 1))
     rows = 1 if kind == "eigenvalues" else m
@@ -302,7 +311,7 @@ def write_distribution(path, dist):
 
 def read_distribution(path, kind):
     """The ``kind`` ("ks" or "cm") statistic law of a law_<kind> artifact."""
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         found, m, _ = _parse_header(path, fh.readline().strip())
         if found != f"law_{kind}":
             raise DataError(f"{path} holds a {found} artifact, not a law_{kind}")
@@ -428,7 +437,7 @@ def estimate_psi(panel, config, outdir=None):
     to keep artifact volume bounded; Psi always sums every lag.
     """
     grid = QuantileGrid(config.grid_m)
-    t_max = config.resolved_t_max(panel.n)
+    t_max = config.t_max or min(512, panel.n // 2)
     longest = panel.n - grid.m - 1   # every lag pair needs n - t >= m + 1 points
     if t_max > longest:
         asked = (f"t_max={config.t_max}" if config.t_max else
@@ -492,10 +501,9 @@ def simulate_laws(spectrum, config, seed, outdir=None, suffix=""):
 
 
 def _check_target_columns(config, panel):
-    """Refuse a one-column empirical panel whose volmodel target scale would be
+    """Refuse a one-column empirical panel whose target scale would be
     calibrated leave-one-out, on no other column."""
-    if (config.model == "empirical" and config.target == "volmodel"
-            and config.target_s2 < 0.0 and len(panel.names) < 2):
+    if config.model == "empirical" and config.target_s2 < 0.0 and len(panel.names) < 2:
         raise DataError(f"{config.input}: the one column {panel.names[0]!r} leaves no other "
                         f"column to calibrate its leave-one-out target scale on; set "
                         f"target_s2 = <s^2> in the config")
@@ -506,8 +514,6 @@ def _target_quantiles(config, panel):
     _check_target_columns(config, panel)
     grid = QuantileGrid(config.grid_m)
     k = len(panel.names)
-    if config.target == "gaussian":
-        return [ndtri(grid.points)] * k
     if config.target_s2 >= 0.0:
         s2 = [config.target_s2] * k
     elif config.model != "empirical":

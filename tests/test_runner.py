@@ -98,7 +98,7 @@ def test_ingest_refuses_empty_and_repeated_names(tmp_path, capsys):
     rows = ["x,,z"] + [",".join(f"{v:.10g}" for v in r) for r in rng.standard_normal((300, 3))]
     data = _write(tmp_path, "named.csv", "\n".join(rows) + "\n")
     cfg = _write(tmp_path, "named.cfg", f"model=empirical\ninput={data}\nt_max=2\n"
-                 f"grid_m=10\nn_trials=1000\ntarget=gaussian\noutdir={tmp_path}/o\n")
+                 f"grid_m=10\nn_trials=1000\ntarget_s2=0\noutdir={tmp_path}/o\n")
     assert main(["pipeline", "-c", cfg]) == 3
     assert "named.csv" in capsys.readouterr().err
     assert not (tmp_path / "o" / "results.jsonl").exists()
@@ -184,10 +184,24 @@ def test_config_parsing_and_validation():
     for line in ("seed=-1", "replications=0", "threads=0", "threads=-4"):
         with pytest.raises(ConfigError, match=line.split("=")[0]):
             parse_config_text(line + "\n")
-    # a gaussian target has no scale to fix
-    with pytest.raises(ConfigError, match="target_s2.*target = gaussian"):
-        parse_config_text("target = gaussian\ntarget_s2 = 0.09\n")
-    assert parse_config_text("target = gaussian\ntarget_s2 = -1\n").target == "gaussian"
+    # the standard normal target is target_s2 = 0; there is no target key
+    with pytest.raises(ConfigError, match="unknown key 'target'"):
+        parse_config_text("target = gaussian\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_refuses_a_float_that_is_not_finite(tmp_path, capsys, value):
+    # nan compared false with every bound: target_s2 = nan fell back to the model's
+    # V[omega], and sigma2 = nan or inf failed late in the quantile solve (exit 4)
+    for key in ("g", "sigma2", "nu", "s", "target_s2"):
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            parse_config_text(f"model=ar1\n{key} = {value}\n")
+        out = tmp_path / key
+        cfg = _write(tmp_path, f"{key}.cfg", f"model=ar1\nn=300\nreplications=3\ngrid_m=10\n"
+                     f"n_trials=1000\n{key}={value}\noutdir={out}\n")
+        assert main(["pipeline", "-c", cfg]) == 2
+        assert f"configuration error: {key} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_hash_inside_a_value_is_kept(tmp_path):
@@ -317,7 +331,7 @@ def test_run_pipeline_empirical_path(tmp_path):
                         for _ in range(300)]
     data = _write(tmp_path, "panel.csv", "\n".join(rows) + "\n")
     config = _tiny_config(tmp_path, model="empirical", input=data, t_max=6,
-                          target="gaussian", outdir=str(tmp_path / "emp"))
+                          target_s2=0.0, outdir=str(tmp_path / "emp"))
     with pytest.warns(RuntimeWarning):
         results = run_pipeline(config)
     assert len(results) == 3
@@ -429,6 +443,71 @@ def test_cli_exit_codes(tmp_path, capsys):
         (out / target).write_text(originals[target])
 
 
+def _unreadable(tmp_path, case):
+    """(verb, config, exit code, path named) of a verb run on a config or input
+    that cannot be read as UTF-8 text."""
+    rows = "".join(f"{a:.10g},{b:.10g}\n"
+                   for a, b in np.random.default_rng(47).standard_normal((5000, 2)))
+    data, out = tmp_path / "in.csv", tmp_path / "o"
+    data.write_text("a,b\n" + rows, encoding="utf-8")
+    out.mkdir()
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(f"model=empirical\ninput={data}\nt_max=2\ngrid_m=10\noutdir={out}\n",
+                   encoding="utf-8")
+    if case == "latin-1 header":
+        data.write_bytes(("caf\u00e9,b\n" + rows).encode("latin-1"))
+        return ["estimate"], cfg, 3, data
+    if case == "latin-1 last row":   # past the first 8 KB: raised inside np.loadtxt
+        data.write_bytes(("a,b\n" + rows).encode() + b"1,\xe9\n")
+        return ["estimate"], cfg, 3, data
+    if case == "latin-1 config":
+        cfg.write_bytes(cfg.read_bytes() + "# caf\u00e9\n".encode("latin-1"))
+        return ["estimate"], cfg, 2, cfg
+    if case == "config directory":
+        return ["estimate"], tmp_path, 2, tmp_path
+    if case == "input directory":
+        data.unlink()
+        data.mkdir()
+        return ["estimate"], cfg, 3, data
+    if case == "psi directory":
+        (out / "psi.csv").mkdir()
+        return ["kernel"], cfg, 3, out / "psi.csv"
+    assert case == "latin-1 kernel"
+    write_matrix(str(out / "kernel.csv"), "kernel", np.eye(10))
+    (out / "kernel.csv").write_bytes((out / "kernel.csv").read_bytes() + b"# \xe9\n")
+    return ["law", "--seed", "1"], cfg, 3, out / "kernel.csv"
+
+
+@pytest.mark.parametrize("case", ["latin-1 header", "latin-1 last row", "latin-1 config",
+                                  "config directory", "input directory", "psi directory",
+                                  "latin-1 kernel"])
+def test_cli_refuses_a_file_it_cannot_read(tmp_path, capsys, case):
+    verb, cfg, code, named = _unreadable(tmp_path, case)
+    assert main([verb[0], "-c", str(cfg)] + verb[1:]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("depgof: configuration error" if code == 2 else "depgof: data error")
+    assert str(named) in err
+    assert ("not UTF-8 text" if "latin-1" in case else "Is a directory") in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+def test_cli_drops_a_byte_order_mark(tmp_path):
+    # a BOM named the first column '\ufeffa', and made the first config key unknown
+    rows = "".join(f"{a:.10g},{b:.10g}\n"
+                   for a, b in np.random.default_rng(53).standard_normal((300, 2)))
+    results = []
+    for bom in ("", "\ufeff"):
+        data, out = tmp_path / f"in{len(bom)}.csv", tmp_path / f"o{len(bom)}"
+        data.write_text(bom + "a,b\n" + rows, encoding="utf-8")
+        cfg = _write(tmp_path, f"e{len(bom)}.cfg",
+                     f"{bom}model=empirical\ninput={data}\nt_max=2\ngrid_m=10\n"
+                     f"n_trials=1000\ntarget_s2=0\noutdir={out}\n")
+        assert main(["pipeline", "-c", cfg]) == 0
+        results.append((out / "results.jsonl").read_bytes())
+    assert json.loads(results[0].splitlines()[0])["name"] == "a"
+    assert results[1] == results[0]
+
+
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
 def test_cli_rejects_non_finite_cells(tmp_path, capsys, cell):
     rng = np.random.default_rng(19)
@@ -505,6 +584,7 @@ def test_cli_law_refuses_an_inf_in_kernel(tmp_path, capsys):
 @pytest.mark.parametrize("t_max_line, grid_m, named", [
     ("", 100, "auto t_max=90"),          # 180 // 2 lags leave 90 < 101 pairs
     ("t_max=80\n", 100, "t_max=80"),     # one lag past the largest that fits
+    ("t_max=500\n", 100, "t_max=500"),   # past n - 1 too: refused as configured
     ("t_max=5\n", 200, "no lag fits"),   # 180 points cannot fill a 201-point grid
 ])
 def test_cli_estimate_refuses_a_t_max_too_large_before_any_lag(tmp_path, capsys, t_max_line,
@@ -664,6 +744,20 @@ def test_one_csv_reader_and_one_csv_writer():
         and any(isinstance(a, ast.Constant) and "w" in str(a.value)
                 for a in call.args[1:] + [k.value for k in call.keywords if k.arg == "mode"]))
     assert writes == [("_write_csv", False), ("reproduce", True), ("write_results", False)]
+
+
+def test_every_file_is_read_through_one_reader():
+    # _reading turns a file that cannot be read as UTF-8 text into an error naming it
+    src = Path(__file__).resolve().parents[1] / "src" / "depgof"
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        for fn, call in _calls(path):
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            mode = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+            writes = mode and set("wax") & set(str(getattr(mode[0], "value", "")))
+            if name in ("read_text", "read_bytes") or (name == "open" and not writes):
+                reads.append((path.stem, fn))
+    assert reads == [("runner", "_reading")]
 
 
 def test_one_thread_pool():
@@ -949,21 +1043,22 @@ def test_one_column_empirical_panel_needs_target_s2(tmp_path, capsys):
     assert "psi.csv" in os.listdir(tmp_path / "auto")
     fixed = _write(tmp_path, "fixed.cfg", text + f"target_s2=0.49\noutdir={tmp_path / 'fixed'}\n")
     assert main(["pipeline", "-c", fixed]) == 0
-    gaussian = _write(tmp_path, "gauss.cfg",
-                      text + f"target=gaussian\noutdir={tmp_path / 'gauss'}\n")
-    assert main(["pipeline", "-c", gaussian]) == 0
+    normal = _write(tmp_path, "normal.cfg", text + f"target_s2=0\noutdir={tmp_path / 'normal'}\n")
+    assert main(["pipeline", "-c", normal]) == 0
 
 
 @pytest.mark.parametrize("m", [10, 15, 99, 100, 256, 599])
 def test_gaussian_target_quantiles_are_norm_ppf(m):
+    # at target_s2 = 0 the volatility marginal is the standard normal
     panel = PanelData(names=["a", "b"], values=np.zeros((5, 2)))
-    config = PipelineConfig(model="empirical", target="gaussian", grid_m=m)
-    expected = norm.ppf(QuantileGrid(m).points).tobytes()
-    assert [q.tobytes() for q in _target_quantiles(config, panel)] == [expected] * 2
+    config = PipelineConfig(model="empirical", target_s2=0.0, grid_m=m)
+    expected = norm.ppf(QuantileGrid(m).points)
+    for q in _target_quantiles(config, panel):
+        assert_allclose(q, expected, rtol=0.0, atol=1e-15)
 
 
 # Runs in a fresh interpreter: depgof, a tiny fig2 and a tiny empirical verb
-# chain with a Gaussian target must leave scipy.stats and scipy.signal unloaded.
+# chain with a standard normal target must leave scipy.stats and scipy.signal unloaded.
 _STARTUP_SCRIPT = """
 import json, os, sys
 import numpy as np
@@ -986,7 +1081,7 @@ with open(os.path.join(out, "in.csv"), "w") as fh:
     fh.write("x,y,z\\n" + "".join(",".join(map(repr, r)) + "\\n" for r in rows.tolist()))
 cfg = os.path.join(out, "emp.cfg")
 with open(cfg, "w") as fh:
-    fh.write(f"model=empirical\\ninput={out}/in.csv\\ntarget=gaussian\\ngrid_m=15\\n"
+    fh.write(f"model=empirical\\ninput={out}/in.csv\\ntarget_s2=0\\ngrid_m=15\\n"
              f"t_max=4\\nn_trials=2000\\noutdir={out}/emp\\n")
 for verb in (["estimate"], ["kernel"], ["law", "--seed", "5"], ["test"]):
     assert main([verb[0], "-c", cfg] + verb[1:]) == 0
