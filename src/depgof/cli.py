@@ -63,14 +63,14 @@ def cmd_kernel(args):
 def cmd_law(args):
     config = _load(args)
     spectrum = runner.diagonalize(runner.load_kernel(config), outdir=config.outdir)
-    runner.simulate_laws(spectrum, config, config.seed, outdir=config.outdir)
+    runner.simulate_laws({"": spectrum}, config, outdir=config.outdir)
     print(f"wrote {config.outdir}/law_ks.csv and law_cm.csv ({config.n_trials} trials)")
 
 
 def cmd_test(args):
     config = _load(args)
-    results = runner.test_panel(runner.load_panel(config), config, *runner.load_laws(config),
-                                outdir=config.outdir)
+    results = runner.test_panel(runner.load_panel(config), config,
+                                {"": runner.load_laws(config)}, outdir=config.outdir)[""]
     rejected = sum(1 for r in results if r.cm_p < 0.05)
     print(f"wrote {config.outdir}/results.jsonl "
           f"({len(results)} series, {rejected} CM rejections at 5%)")

@@ -73,24 +73,25 @@ def _chunk_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _simulate(draw, n_trials, seed, digest, m, n_threads=1):
-    """Sorted KS and CM laws from ``draw(rng, ks, cm)`` over fixed chunks.
+def _simulate(draw, n_trials, seed, digests, m, n_threads=1):
+    """Sorted KS and CM laws, one pair per digest, from ``draw(rng, out)`` over fixed chunks.
 
     Chunk i holds up to _CHUNK trials drawn from _chunk_rng(seed, i); its
-    draw fills ``ks`` and ``cm``, the chunk's slices of the two n_trials
-    sample arrays, which are sorted in place once every chunk is drawn.
+    draw fills ``out``, the chunk's (laws, 2, trials) slice of the sample
+    array, with each law's KS samples in ``out[j, 0]`` and CM samples in
+    ``out[j, 1]``.  Every row is sorted in place once every chunk is drawn.
     So the samples do not depend on n_threads, and no chunk's result is
     kept or copied.
     """
     if n_trials < 1:
         raise ParameterError("need at least one trial")
-    ks, cm = np.empty(n_trials), np.empty(n_trials)
-    map_ordered(n_threads, lambda s: draw(_chunk_rng(seed, s // _CHUNK), ks[s:s + _CHUNK],
-                                          cm[s:s + _CHUNK]), range(0, n_trials, _CHUNK))
-    ks.sort()
-    cm.sort()
-    return tuple(StatisticDistribution(kind=kind, samples=samples, spectrum_digest=digest, grid_m=m)
-                 for kind, samples in (("ks", ks), ("cm", cm)))
+    samples = np.empty((len(digests), 2, n_trials))
+    map_ordered(n_threads, lambda s: draw(_chunk_rng(seed, s // _CHUNK),
+                                          samples[:, :, s:s + _CHUNK]), range(0, n_trials, _CHUNK))
+    samples.sort(axis=2)
+    return tuple(tuple(StatisticDistribution(kind=kind, samples=row, spectrum_digest=digest,
+                                             grid_m=m) for kind, row in zip(("ks", "cm"), pair))
+                 for digest, pair in zip(digests, samples))
 
 
 def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
@@ -102,30 +103,40 @@ def simulate_statistic_distribution(spectrum, n_trials, seed, n_threads=1):
     matrix product each, in the order of its stream, through two buffers of
     the block's size, so a worker's working set is 8192 * (n_modes + M)
     doubles whatever n_trials is.
+
+    ``spectrum`` may also be a tuple of spectra on one grid with one mode
+    count: each row block of normals is then multiplied by every spectrum
+    in turn (common random numbers), and a tuple of (KS, CM) pairs comes
+    back, one per spectrum, each bitwise the pair of its spectrum alone.
     """
+    spectra = spectrum if isinstance(spectrum, tuple) else (spectrum,)
+    first = spectra[0]
+    if any((s.grid.m, s.n_modes) != (first.grid.m, first.n_modes) for s in spectra):
+        raise ParameterError("spectra drawn together need one grid and one mode count")
     if 1 <= n_trials < 10_000:
         warnings.warn(f"n_trials={n_trials} is small for quantile use; "
                       "p-values will be coarse", RuntimeWarning, stacklevel=2)
-    synth = (spectrum.eigenvectors * np.sqrt(spectrum.eigenvalues)[None, :]).T
-    weight = spectrum.grid.weight
+    synths = [(s.eigenvectors * np.sqrt(s.eigenvalues)[None, :]).T for s in spectra]
 
-    def draw(rng, ks, cm):
-        rows = min(_BLOCK, ks.size)
-        z = np.empty((rows, spectrum.n_modes))
-        y = np.empty((rows, spectrum.grid.m))
-        for lo in range(0, ks.size, rows):
-            hi = min(lo + rows, ks.size)
+    def draw(rng, out):
+        rows = min(_BLOCK, out.shape[2])
+        z = np.empty((rows, first.n_modes))
+        y = np.empty((rows, first.grid.m))
+        for lo in range(0, out.shape[2], rows):
+            hi = min(lo + rows, out.shape[2])
             rng.standard_normal(out=z[:hi - lo])
-            # Multiply all rows, stale ones too: a product of few rows takes
-            # another OpenBLAS kernel (gemv for one row, a small-matrix kernel
-            # below about 1e6 multiply-adds) that rounds differently.
-            np.matmul(z, synth, out=y)
-            yb = y[:hi - lo]
-            np.einsum("ij,ij->i", yb, yb, out=cm[lo:hi])
-            np.abs(yb, out=yb).max(axis=1, out=ks[lo:hi])   # y, not z: n_modes may be < M
-        cm *= weight
+            for synth, (ks, cm) in zip(synths, out):
+                # Multiply all rows, stale ones too: a product of few rows takes
+                # another OpenBLAS kernel (gemv for one row, a small-matrix kernel
+                # below about 1e6 multiply-adds) that rounds differently.
+                np.matmul(z, synth, out=y)
+                yb = y[:hi - lo]
+                np.einsum("ij,ij->i", yb, yb, out=cm[lo:hi])
+                np.abs(yb, out=yb).max(axis=1, out=ks[lo:hi])   # y, not z: n_modes may be < M
+        out[:, 1] *= first.grid.weight
 
-    return _simulate(draw, n_trials, seed, spectrum.digest, spectrum.grid.m, n_threads)
+    laws = _simulate(draw, n_trials, seed, [s.digest for s in spectra], first.grid.m, n_threads)
+    return laws if isinstance(spectrum, tuple) else laws[0]
 
 
 def simulate_iid_statistic_distribution(m, n_trials, seed):
@@ -142,7 +153,8 @@ def simulate_iid_statistic_distribution(m, n_trials, seed):
     g = QuantileGrid(m)
     w = g.weight
 
-    def draw(rng, ks, cm):
+    def draw(rng, out):
+        (ks, cm), = out
         b = ks.size
         walk = np.cumsum(rng.standard_normal((b, m + 1)) * math.sqrt(w), axis=1)
         y = np.zeros((b, m + 2))
@@ -170,7 +182,7 @@ def simulate_iid_statistic_distribution(m, n_trials, seed):
         np.einsum("ij,ij->i", inner, inner, out=cm)
         cm *= w
 
-    return _simulate(draw, n_trials, seed, f"bridge:iid:m={m}", m)
+    return _simulate(draw, n_trials, seed, [f"bridge:iid:m={m}"], m)[0]
 
 
 def p_value(stat, dist):
@@ -187,12 +199,20 @@ def run_gof_test(series, quantiles, dist_ks, dist_cm):
     as #{x <= F^{-1}(u_i)}/N without evaluating F at the sample.  Testing at
     the grid of the laws makes the finite-grid sup/sum biases of the
     statistic and of its reference distribution cancel.
+
+    ``dist_ks`` and ``dist_cm`` may also be tuples of laws of one length on
+    one grid: the statistics are computed once, and a tuple of GofResults
+    comes back, one per (dist_ks[j], dist_cm[j]) pair.
     """
-    if dist_ks.kind != "ks" or dist_cm.kind != "cm":
+    many = isinstance(dist_ks, tuple)
+    if many != isinstance(dist_cm, tuple) or many and len(dist_ks) != len(dist_cm):
+        raise ParameterError("need a KS and a CM law, or two tuples of them of one length")
+    pairs = tuple(zip(dist_ks, dist_cm)) if many else ((dist_ks, dist_cm),)
+    if any(law_ks.kind != "ks" or law_cm.kind != "cm" for law_ks, law_cm in pairs):
         raise ParameterError("distributions must be (ks, cm) in that order")
-    if dist_ks.grid_m != dist_cm.grid_m:
+    if len({law.grid_m for pair in pairs for law in pair}) != 1:
         raise ParameterError("null laws were built on different grids")
-    g = QuantileGrid(dist_ks.grid_m)
+    g = QuantileGrid(pairs[0][0].grid_m)
     q = np.asarray(quantiles, dtype=float)
     if q.shape != (g.m,):
         raise DataError(f"need one target quantile per grid level ({g.m}), got shape {q.shape}")
@@ -204,9 +224,9 @@ def run_gof_test(series, quantiles, dist_ks, dist_cm):
     y = math.sqrt(n) * (ecdf - g.points)
     ks = float(np.abs(y).max())
     cm = float(np.sum(y * y) * g.weight)
-    return GofResult(ks_stat=ks, cm_stat=cm,
-                     ks_p=float(p_value(ks, dist_ks)),
-                     cm_p=float(p_value(cm, dist_cm)))
+    results = tuple(GofResult(ks_stat=ks, cm_stat=cm, ks_p=float(p_value(ks, law_ks)),
+                              cm_p=float(p_value(cm, law_cm))) for law_ks, law_cm in pairs)
+    return results if many else results[0]
 
 
 def reduction_ratio(dep, iid, u):

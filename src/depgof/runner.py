@@ -6,7 +6,7 @@ comments).  Each stage takes its inputs as objects and, given an
 
     generate_panel  panel.csv       estimate_psi   copula_t*.csv, psi.csv
     build_kernel    kernel.csv      diagonalize    spectrum_eig{vals,vecs}.csv
-    simulate_laws   law_{ks,cm}<suffix>.csv        test_panel     results.jsonl
+    simulate_laws   law_{ks,cm}<suffix>.csv        test_panel     results<suffix>.jsonl
 
 ``run_pipeline`` and ``reproduce`` chain the stages in memory; each CLI
 verb reads a stage's inputs back from the outdir with the loaders next to
@@ -253,6 +253,8 @@ def _read_rows(path, fh, columns):
         values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
         if values.shape[1] == len(columns) and np.isfinite(values).all():
             return values
+    except UnicodeDecodeError:   # a ValueError, but the walk would only meet it again
+        raise
     except ValueError:
         pass
     fh.seek(start)
@@ -490,13 +492,16 @@ def diagonalize(kernel, outdir=None):
     return spectrum
 
 
-def simulate_laws(spectrum, config, seed, outdir=None, suffix=""):
-    """Monte-Carlo KS and CM laws of the spectrum; writes law_{ks,cm}<suffix>.csv."""
-    laws = limit_law.simulate_statistic_distribution(
-        spectrum, config.n_trials, seed, n_threads=config.threads)
+def simulate_laws(spectra, config, outdir=None):
+    """{suffix: (KS law, CM law)} of each spectrum of the dict ``spectra`` {suffix:
+    spectrum}, all drawn from the normals of config.seed; writes
+    law_{ks,cm}<suffix>.csv."""
+    laws = dict(zip(spectra, limit_law.simulate_statistic_distribution(
+        tuple(spectra.values()), config.n_trials, config.seed, n_threads=config.threads)))
     if outdir:
-        for dist in laws:
-            write_distribution(os.path.join(outdir, f"law_{dist.kind}{suffix}.csv"), dist)
+        for suffix, pair in laws.items():
+            for dist in pair:
+                write_distribution(os.path.join(outdir, f"law_{dist.kind}{suffix}.csv"), dist)
     return laws
 
 
@@ -545,20 +550,24 @@ def _scale_quantiles(grid, scales, threads):
     return solved
 
 
-def test_panel(panel, config, dist_ks, dist_cm, outdir=None, filename="results.jsonl"):
-    """Test every column at its target's grid quantiles; writes results.jsonl (or `filename`)."""
-    if {dist_ks.grid_m, dist_cm.grid_m} != {config.grid_m}:
-        raise DataError(f"null laws were simulated on grids m={dist_ks.grid_m}, "
-                        f"m={dist_cm.grid_m}; the config has grid_m={config.grid_m}")
-    rows = []
-    results = []
-    for (name, col), q in zip(panel.columns(), _target_quantiles(config, panel)):
-        res = limit_law.run_gof_test(col, q, dist_ks, dist_cm)
-        results.append(res)
-        rows.append({"name": name, "ks": res.ks_stat, "cm": res.cm_stat,
-                     "p_ks": res.ks_p, "p_cm": res.cm_p})
+def test_panel(panel, config, laws, outdir=None):
+    """{suffix: one GofResult per column} against each (KS, CM) law pair of the dict
+    ``laws`` {suffix: pair}.  Each column's target quantiles and statistics are
+    computed once, for every pair; writes results<suffix>.jsonl."""
+    for dist_ks, dist_cm in laws.values():
+        if {dist_ks.grid_m, dist_cm.grid_m} != {config.grid_m}:
+            raise DataError(f"null laws were simulated on grids m={dist_ks.grid_m}, "
+                            f"m={dist_cm.grid_m}; the config has grid_m={config.grid_m}")
+    ks_laws, cm_laws = zip(*laws.values())
+    per_column = [limit_law.run_gof_test(col, q, ks_laws, cm_laws) for (_, col), q
+                  in zip(panel.columns(), _target_quantiles(config, panel))]
+    results = {suffix: [res[j] for res in per_column] for j, suffix in enumerate(laws)}
     if outdir:
-        write_results(os.path.join(outdir, filename), rows)
+        for suffix, column_results in results.items():
+            write_results(os.path.join(outdir, f"results{suffix}.jsonl"), (
+                {"name": name, "ks": res.ks_stat, "cm": res.cm_stat,
+                 "p_ks": res.ks_p, "p_cm": res.cm_p}
+                for name, res in zip(panel.names, column_results)))
     return results
 
 
@@ -581,15 +590,17 @@ def run_pipeline(config):
     else:
         panel = generate_panel(config, outdir=outdir)
     kernel = build_kernel(config, psi=psi, outdir=outdir)
-    dist_ks, dist_cm = simulate_laws(diagonalize(kernel, outdir=outdir), config,
-                                     config.seed, outdir=outdir)
-    return test_panel(panel, config, dist_ks, dist_cm, outdir=outdir)
+    laws = simulate_laws({"": diagonalize(kernel, outdir=outdir)}, config, outdir=outdir)
+    return test_panel(panel, config, laws, outdir=outdir)[""]
 
 
 def reproduce(which, config):
     """The synthetic experiment ``which`` of PRESETS, end to end, under the
     naive and the corrected laws, with the experiment's model.
 
+    Both laws are drawn from the same normals (common random numbers), so
+    their quantile ratios carry less Monte-Carlo noise than two independent
+    draws would, and each series' statistics are computed once for both.
     Emits plot-ready tables: per-replication p-values under both laws,
     quantile reduction ratios, and a JSON summary with uniformity tests.
     """
@@ -601,13 +612,9 @@ def reproduce(which, config):
     panel = generate_panel(config, outdir=outdir)
     spectrum = diagonalize(build_kernel(config, outdir=outdir))
     iid_spectrum = diagonalize(build_kernel(replace(config, model="iid")))
-    corr_ks, corr_cm = simulate_laws(spectrum, config, config.seed, outdir, "_corrected")
-    iid_ks, iid_cm = simulate_laws(iid_spectrum, config, config.seed + 1, outdir, "_iid")
-
-    res_iid = test_panel(panel, config, iid_ks, iid_cm, outdir=outdir,
-                         filename="results_iid.jsonl")
-    res_corr = test_panel(panel, config, corr_ks, corr_cm, outdir=outdir,
-                          filename="results_corrected.jsonl")
+    laws = simulate_laws({"_corrected": spectrum, "_iid": iid_spectrum}, config, outdir)
+    results = test_panel(panel, config, laws, outdir=outdir)
+    (corr_ks, corr_cm), (iid_ks, iid_cm) = laws["_corrected"], laws["_iid"]
 
     levels = np.round(np.arange(0.05, 1.0, 0.05), 2)
     ratios = np.column_stack([levels, limit_law.reduction_ratio(corr_ks, iid_ks, levels),
@@ -616,9 +623,9 @@ def reproduce(which, config):
 
     summary = {"experiment": which, "model": config.model,
                "replications": config.replications, "n": config.n}
-    for label, results in (("iid", res_iid), ("corrected", res_corr)):
+    for label in ("iid", "corrected"):
         for stat in ("ks", "cm"):
-            pv = [getattr(r, f"{stat}_p") for r in results]
+            pv = [getattr(r, f"{stat}_p") for r in results[f"_{label}"]]
             summary[f"uniformity_p_{stat}_{label}"] = limit_law.uniformity_pvalue(pv)
             summary[f"sup_distance_{stat}_{label}"] = limit_law.sup_distance(pv)
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:

@@ -223,6 +223,32 @@ def test_spectral_sampler_matches_the_one_matmul_draw(spectrum, n_trials, seed, 
         assert dist.samples.tobytes() == samples.tobytes()
 
 
+_FIG2_SPECTRA = (_ar1_spectrum(100), eigendecompose(brownian_bridge_kernel(QuantileGrid(100))),
+                 eigendecompose(build_kernel_ar1(Ar1LogVolParams(0.6, 0.1), QuantileGrid(100))))
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+@pytest.mark.parametrize("n_trials", [_CHUNK + 1, 3 * _CHUNK + 1],
+                         ids=["1-row tail", "3 chunks + 1"])
+def test_shared_draw_gives_each_spectrum_its_own_law(n_trials, n_threads):
+    # common random numbers: one set of normals feeds every spectrum, and each
+    # spectrum's pair is byte for byte the pair it gets drawn alone
+    shared = simulate_statistic_distribution(_FIG2_SPECTRA, n_trials, seed=83, n_threads=n_threads)
+    assert len(shared) == len(_FIG2_SPECTRA)
+    for spectrum, pair in zip(_FIG2_SPECTRA, shared):
+        alone = simulate_statistic_distribution(spectrum, n_trials, seed=83)
+        for dist, ref in zip(pair, alone):
+            assert (dist.kind, dist.spectrum_digest) == (ref.kind, spectrum.digest)
+            assert dist.samples.tobytes() == ref.samples.tobytes()
+
+
+def test_shared_draw_refuses_spectra_of_another_shape():
+    fewer_modes = perturbative_spectrum(PerturbativeInputs(0.05, 0.02, 0.01), QuantileGrid(100))
+    for other in (fewer_modes, _ar1_spectrum(50)):
+        with pytest.raises(ParameterError, match="one grid and one mode count"):
+            simulate_statistic_distribution((_FIG2_SPECTRA[0], other), 20_000, seed=1)
+
+
 def test_law_memory_is_bounded_by_the_row_blocks():
     # two workers, each with one (_BLOCK, n_modes) normal block and one (_BLOCK, m)
     # product, plus the two n_trials sample arrays; 25 % slack
@@ -322,6 +348,20 @@ def test_run_gof_grid_mismatch(grid):
     with pytest.raises(ParameterError):
         run_gof_test(np.random.default_rng(1).standard_normal(300),
                      norm.ppf(grid.points), ks2, dist_cm)
+
+
+def test_run_gof_test_against_several_law_pairs(grid):
+    # the statistics are computed once; each pair gives the p-values of a one-pair test
+    laws = simulate_statistic_distribution(_FIG2_SPECTRA[:2], 20_000, seed=89)
+    x = np.random.default_rng(97).standard_normal(400)
+    q = norm.ppf(grid.points)
+    ks_laws, cm_laws = zip(*laws)
+    both = run_gof_test(x, q, ks_laws, cm_laws)
+    assert both == tuple(run_gof_test(x, q, ks, cm) for ks, cm in laws)
+    assert both[0].ks_p != both[1].ks_p
+    for bad_ks, bad_cm in ((ks_laws, cm_laws[0]), (ks_laws, cm_laws[:1]), (cm_laws, ks_laws)):
+        with pytest.raises(ParameterError):
+            run_gof_test(x, q, bad_ks, bad_cm)
 
 
 def test_reduction_ratio(grid):

@@ -490,6 +490,22 @@ def test_cli_refuses_a_file_it_cannot_read(tmp_path, capsys, case):
     assert ("not UTF-8 text" if "latin-1" in case else "Is a directory") in err
 
 
+def test_a_bad_byte_is_not_walked_again(tmp_path, monkeypatch):
+    # np.loadtxt's UnicodeDecodeError is a ValueError; the float() walk of the
+    # whole file would only meet the same byte again
+    rows = "".join(f"{a:.10g},{b:.10g}\n"
+                   for a, b in np.random.default_rng(59).standard_normal((900, 2)))
+    data = tmp_path / "in.csv"
+    data.write_bytes(("a,b\n" + rows).encode() + b"1,\xe9\n")   # past the first 8 KB
+
+    def walked(value):
+        raise AssertionError("the float() walk ran")
+
+    monkeypatch.setattr(depgof.runner.math, "isfinite", walked)
+    with pytest.raises(DataError, match=f"{data} is not UTF-8 text"):
+        ingest_csv(str(data))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
 def test_cli_drops_a_byte_order_mark(tmp_path):
     # a BOM named the first column '\ufeffa', and made the first config key unknown
@@ -890,9 +906,9 @@ def test_default_threads_are_the_usable_cpus_and_change_no_law(tmp_path):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert PipelineConfig().threads == parse_config_text("").threads == cpus
     spectrum = diagonalize(build_kernel(PipelineConfig(model="ar1", grid_m=20)))
-    laws = [simulate_laws(spectrum, config, seed=4)   # 40000 trials are three law chunks
-            for config in (PipelineConfig(grid_m=20, n_trials=40_000),
-                           PipelineConfig(grid_m=20, n_trials=40_000, threads=1))]
+    laws = [simulate_laws({"": spectrum}, config)[""]   # 40000 trials are three law chunks
+            for config in (PipelineConfig(grid_m=20, n_trials=40_000, seed=4),
+                           PipelineConfig(grid_m=20, n_trials=40_000, seed=4, threads=1))]
     for default, one in zip(*laws):
         assert default.samples.tobytes() == one.samples.tobytes()
 
@@ -947,6 +963,30 @@ def test_reproduce_fig2_does_not_depend_on_threads(tmp_path):
     assert (tmp_path / "ratios.csv").read_bytes() == outputs[0]["reduction_ratios.csv"]
     with pytest.raises(ConfigError, match="unknown experiment 'fig4'"):
         reproduce("fig4", config)
+
+
+def test_reproduce_arms_are_the_stage_chain_of_each_spectrum(tmp_path):
+    # both laws come from the normals of config.seed; each arm writes what
+    # simulate_laws and test_panel write for its spectrum alone
+    config = PipelineConfig(model="ar1", n=400, replications=12, grid_m=100,
+                            n_trials=3 * 16_384 + 1, seed=6, threads=2,
+                            outdir=str(tmp_path / "shared"))
+    reproduce("fig2", config)
+    panel = generate_panel(config)
+    for arm, model in (("corrected", "ar1"), ("iid", "iid")):
+        alone = tmp_path / arm
+        alone.mkdir()
+        laws = simulate_laws({f"_{arm}": diagonalize(build_kernel(replace(config, model=model)))},
+                             config, str(alone))
+        depgof.runner.test_panel(panel, config, laws, str(alone))
+        for name in (f"law_ks_{arm}.csv", f"law_cm_{arm}.csv", f"results_{arm}.jsonl"):
+            assert (alone / name).read_bytes() == (tmp_path / "shared" / name).read_bytes()
+    # the statistics of a series do not depend on the law they are tested against
+    rows = {arm: [json.loads(line) for line in (tmp_path / "shared" / f"results_{arm}.jsonl")
+                  .read_text(encoding="utf-8").splitlines()] for arm in ("iid", "corrected")}
+    assert len(rows["iid"]) == 12
+    assert ([(r["name"], r["ks"], r["cm"]) for r in rows["iid"]]
+            == [(r["name"], r["ks"], r["cm"]) for r in rows["corrected"]])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
