@@ -13,9 +13,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
+# numpy loads these on first use, at about 16 ms each: the law draws use
+# numpy.random, and np.quantile loads numpy.ma.  Nearly every run does both,
+# so they load with the package, not inside the first call that needs them.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from ._pool import map_ordered
+from ._special import kolmogorov_sf
 from .errors import DataError, ParameterError
 from .grid import QuantileGrid
 from .sampling import as_series
@@ -66,7 +71,7 @@ def sup_distance(pvals):
 def uniformity_pvalue(pvals):
     """Asymptotic KS test of a p-value sample against the uniform law, by the survival 1 - K."""
     n = np.size(pvals)
-    return float(kolmogorov(math.sqrt(n) * sup_distance(pvals)))
+    return kolmogorov_sf(math.sqrt(n) * sup_distance(pvals))
 
 
 def _chunk_rng(seed, index):

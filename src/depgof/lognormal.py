@@ -19,8 +19,10 @@ when the expansion should match a specific generator.
 
 All integrals over w use Gauss-Hermite quadrature.  The default node
 count is chosen so that doubling it moves the basis tables by less than
-1e-9.  The nodes are computed once per node count and shared read-only by
-every basis.
+1e-9.  Only the nodes whose standard-normal weight is at least 2^-80 are
+kept: 126 of the 384, dropping 1.6e-24 of the weight, which moves no CDF
+value by as much as its rounding.  The nodes are computed once per node
+count and shared read-only by every basis.
 """
 
 import functools
@@ -29,12 +31,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_hermite
 
+from ._special import hermite_rule, ndtr, ndtri_start
 from .copulas import CopulaSurface
 from .errors import NumericalError, ParameterError
 
 DEFAULT_QUADRATURE_NODES = 384
+_WEIGHT_FLOOR = 2.0 ** -80
 _BRACKET_DOUBLINGS = 60
 _NEWTON_STEPS = 100
 
@@ -49,12 +52,67 @@ def _dphi(z):
 
 @functools.cache
 def _hermite(nodes):
-    """Standard-normal Gauss-Hermite (nodes, weights), computed once per node count."""
-    t, w = roots_hermite(nodes)
-    omega, weights = math.sqrt(2.0) * t, w / math.sqrt(math.pi)
+    """Standard-normal Gauss-Hermite (nodes, weights) of weight >= 2^-80, computed
+    once per node count."""
+    omega, weights = hermite_rule(nodes, _WEIGHT_FLOOR)
     omega.flags.writeable = False
     weights.flags.writeable = False
     return omega, weights
+
+
+def _solve_quantiles(scales, u, start, omega, weights):
+    """F_s^{-1}(u) of the levels u in (0, 1/2] for each scale s, one row per scale,
+    by Newton steps from the finite ``start`` (one row per scale) kept inside a
+    bracket (a step that leaves it bisects it).  A row is done when, at each of
+    its levels, a step or the bracket is below 1e-13; a step reads the CDF and
+    the density off one set of quadrature points.  Each row's arithmetic is its
+    own, so a row comes out the same whatever rows are solved with it."""
+    scale = np.exp(-scales[:, None] * omega)[:, None, :]       # (rows, 1, nodes)
+    # every hi > 0 has F(hi) >= F(0) = 1/2 >= u, so only lo may need widening;
+    # the levels share few lo values, and each row's CDF is read once at each
+    lo, hi = np.full(start.shape, -60.0), np.full(start.shape, 60.0)
+    rows = np.arange(len(scales))[:, None]
+    for _ in range(_BRACKET_DOUBLINGS):
+        values, inverse = np.unique(lo, return_inverse=True)
+        cdf = ndtr(values[:, None] * scale) @ weights            # (rows, values)
+        high_lo = cdf[rows, inverse.reshape(lo.shape)] > u
+        if not high_lo.any():
+            break
+        lo[high_lo] *= 2.0
+    else:
+        raise NumericalError("cannot bracket the marginal quantile")
+    x = np.clip(start, lo, hi)
+    out = np.empty_like(x)
+    live = np.arange(len(scales))       # rows still stepping
+    for _ in range(_NEWTON_STEPS):
+        z = x[:, :, None] * scale
+        resid = ndtr(z) @ weights - u
+        density = (_phi(z) * scale) @ weights
+        lo = np.where(resid < 0.0, x, lo)
+        hi = np.where(resid > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - resid / density
+        # converged: a Newton step below tolerance, an exact root, or a bracket
+        # narrower than tolerance (a CDF value resolves only to its rounding)
+        tol = 1e-13 + 4e-16 * np.abs(x)
+        small = np.abs(newton - x) <= tol
+        done = np.all(small | (resid == 0.0) | (hi - lo <= tol), axis=1)
+        out[live[done]] = np.where(small, newton, x)[done]
+        if done.all():
+            return out
+        # a Newton step that does not land inside the bracket bisects it
+        inside = (newton > lo) & (newton < hi)
+        x = np.where(small | inside, np.clip(newton, lo, hi), 0.5 * (lo + hi))
+        keep = ~done
+        live, x, lo, hi, scale = live[keep], x[keep], lo[keep], hi[keep], scale[keep]
+    raise NumericalError(f"marginal quantile did not converge in {_NEWTON_STEPS} steps")
+
+
+def _mirrored(u):
+    """The levels u mirrored into (0, 1/2], where the CDF has relative resolution,
+    and the signs that map their solves back: F(-x) = 1 - F(x), and 1 - u is exact
+    for u > 1/2."""
+    return np.where(u > 0.5, 1.0 - u, u), np.where(u > 0.5, -1.0, 1.0)
 
 
 class LogNormalVolBasis:
@@ -76,58 +134,25 @@ class LogNormalVolBasis:
         return self._expect(ndtr, np.asarray(x, dtype=float))
 
     def quantile(self, u, start=None):
-        """Inverse marginal CDF of every level at once, by Newton steps kept inside a
-        bracket (a step that leaves it bisects it) until a step or the bracket is
-        below 1e-13; a step reads the CDF and the density off one set of quadrature
-        points.  The steps start from ``start``, a finite guess of F^{-1}(u) of u's
-        shape, or by default from the Gaussian quantile ndtri(u)."""
+        """Inverse marginal CDF of every level at once, by the Newton solve of
+        ``_solve_quantiles`` on this scale alone.  The steps start from ``start``, a
+        finite guess of F^{-1}(u) of u's shape, or by default from Acklam's
+        approximation of the Gaussian quantile, which is F^{-1} at s = 0."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
             raise ParameterError("quantile level must lie strictly inside (0,1)")
-        # solve in the lower half, where the CDF has relative resolution, and use
-        # F(-x) = 1 - F(x); 1 - u is exact for u > 1/2, and a start mirrors with u
-        upper = u_arr > 0.5
-        u_arr = np.where(upper, 1.0 - u_arr, u_arr)
+        levels, sign = _mirrored(u_arr)
         if start is None:
-            start = ndtri(u_arr)    # exact at s = 0
+            start = ndtri_start(levels)
         else:
             start = np.atleast_1d(np.asarray(start, dtype=float))
             if start.shape != u_arr.shape or not np.isfinite(start).all():
                 raise ParameterError(f"a quantile start must be finite and of the levels' "
                                      f"shape {u_arr.shape}, got shape {start.shape}")
-            start = np.where(upper, -start, start)
-        # every hi > 0 has F(hi) >= F(0) = 1/2 >= u, so only lo may need widening;
-        # the levels share few lo values, and the CDF is read once at each
-        lo, hi = np.full(u_arr.shape, -60.0), np.full(u_arr.shape, 60.0)
-        for _ in range(_BRACKET_DOUBLINGS):
-            values, inverse = np.unique(lo, return_inverse=True)
-            high_lo = self.cdf(values)[inverse] > u_arr
-            if not high_lo.any():
-                break
-            lo[high_lo] *= 2.0
-        else:
-            raise NumericalError("cannot bracket the marginal quantile")
-        x = np.clip(start, lo, hi)
-        scale = np.exp(-self.s * self._omega)
-        for _ in range(_NEWTON_STEPS):
-            z = x[:, None] * scale
-            resid = ndtr(z) @ self._weights - u_arr
-            density = (_phi(z) * scale) @ self._weights
-            lo = np.where(resid < 0.0, x, lo)
-            hi = np.where(resid > 0.0, x, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = x - resid / density
-            # converged: a Newton step below tolerance, an exact root, or a bracket
-            # narrower than tolerance (a CDF value resolves only to its rounding)
-            tol = 1e-13 + 4e-16 * np.abs(x)
-            small = np.abs(newton - x) <= tol
-            if np.all(small | (resid == 0.0) | (hi - lo <= tol)):
-                x = np.where(upper, -1.0, 1.0) * np.where(small, newton, x)
-                return x if np.ndim(u) else float(x[0])
-            # a Newton step that does not land inside the bracket bisects it
-            inside = (newton > lo) & (newton < hi)
-            x = np.where(small | inside, np.clip(newton, lo, hi), 0.5 * (lo + hi))
-        raise NumericalError(f"marginal quantile did not converge in {_NEWTON_STEPS} steps")
+            start = sign * start
+        x = sign * _solve_quantiles(np.array([self.s]), levels, start[None], self._omega,
+                                    self._weights)[0]
+        return x if np.ndim(u) else float(x[0])
 
     @functools.cache
     def quantiles(self, grid):
@@ -178,17 +203,27 @@ def vol_model_cdf(x, s):
 
 def vol_model_quantiles(grid, s, anchors=()):
     """Quantiles of the normalized model at the grid levels: F_s^{-1}(u_i) times
-    e^{-s^2}, the inverse of vol_model_cdf.  F_s^{-1}(u_i) is the shared basis's
-    cached solve or, given ``anchors`` (other scales), a solve on a basis of its
-    own that starts from the Lagrange polynomial in s through the anchors' cached
-    F^{-1}(u_i), and neither reads nor fills the cache of scale s.  From anchors
-    a solve takes about 2 Newton steps instead of 7 when the scales lie within
-    0.4 % of each other, as the leave-one-out scales of a panel do."""
+    e^{-s^2}, the inverse of vol_model_cdf; ``s`` is a scale, or a sequence of
+    scales for one row each.  F_s^{-1}(u_i) is the shared basis's cached solve
+    or, given ``anchors`` (other scales), a solve that starts from the Lagrange
+    polynomial in s through the anchors' cached F^{-1}(u_i), and neither reads
+    nor fills the cache of scale s.  The scales of one call are then solved as
+    one vectorized Newton over scales, levels and nodes, and each row is the
+    one its scale alone would give.  From five anchors a solve takes one Newton
+    step when the scales lie within 0.4 % of each other, as the leave-one-out
+    scales of a panel do."""
+    scales = [float(v) for v in np.atleast_1d(s)]
+    shrink = np.array([[math.exp(-v * v)] for v in scales])
     if not anchors:
-        return get_basis(s).quantiles(grid) * math.exp(-s * s)
-    start = sum(get_basis(a).quantiles(grid) * math.prod((s - b) / (a - b) for b in anchors
-                                                          if b != a) for a in anchors)
-    return LogNormalVolBasis(s).quantile(grid.points, start) * math.exp(-s * s)
+        rows = np.array([get_basis(v).quantiles(grid) for v in scales]) * shrink
+    else:
+        start = np.array([sum(get_basis(a).quantiles(grid)
+                              * math.prod((v - b) / (a - b) for b in anchors if b != a)
+                              for a in anchors) for v in scales])
+        levels, sign = _mirrored(grid.points)
+        rows = sign * _solve_quantiles(np.array(scales), levels, sign * start,
+                                       *_hermite(DEFAULT_QUADRATURE_NODES)) * shrink
+    return rows if np.ndim(s) else rows[0]
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ of the grid levels, so the target CDF is never evaluated at the samples.
 
 The ``threads`` key (>= 1; by default the CPUs the process may run on)
 sets the worker count of the stages whose units are independent: the
-Monte-Carlo law chunks, the lags of ``estimate_psi`` and the distinct
-volatility scales of ``test_panel``'s target quantiles, each mapped by
+Monte-Carlo law chunks, the lags of ``estimate_psi`` and the anchor scales
+and scale blocks of ``test_panel``'s target quantiles, each mapped by
 ``_pool.map_ordered``.  Each unit's arithmetic does not depend on
 ``threads``, and its results are combined in a fixed order, so it changes
 no result.  All stages are deterministic given the config and seed.
@@ -51,6 +51,9 @@ from .grid import QuantileGrid
 _MODELS = ("empirical", "ar1", "fgn", "iid")
 _PANEL_STREAM = 1   # spawn-key prefix of panel columns; law chunk j uses the key (j,)
 _WRITE_BLOCK = 8192   # numbers formatted per write
+# scales per warm quantile solve: about 50k CDF points a Newton step at m = 100;
+# one block of 95 scales ran slower, its 1.2M points falling out of cache
+_SCALE_BLOCK = 4
 # The `reproduce` experiments.  Each forces its model over the config's, and the CLI
 # reads the config file over its other settings.  fig2, AR(1) log-vol series: with
 # the naive iid laws the p-values pile up near zero, with the corrected laws they
@@ -534,19 +537,22 @@ def _target_quantiles(config, panel):
 
 
 def _scale_quantiles(grid, scales, threads):
-    """{s: the target quantiles of scale s} for the distinct ``scales``, each solve on
-    a `threads` worker.  Three anchors, the smallest, middle and largest scale, are
-    solved cold; any other scale starts from the quadratic through them, so its
-    quantiles depend on the anchors, but not on `threads` or on what the process
-    solved before."""
+    """{s: the target quantiles of scale s} for the distinct ``scales``, each unit on
+    a `threads` worker.  Five anchors, the smallest, the three quartiles and the
+    largest scale, are solved cold; the other scales start from the quartic
+    through them, in blocks of _SCALE_BLOCK scales in sorted order, one
+    vectorized solve each.  So their quantiles depend on the anchors, but not on
+    `threads`, on the blocks or on what the process solved before."""
     distinct = sorted(set(scales))
-    anchors = distinct if len(distinct) <= 3 else [distinct[0], distinct[len(distinct) // 2],
-                                                   distinct[-1]]
+    anchors = distinct if len(distinct) <= 5 else [distinct[(len(distinct) - 1) * k // 4]
+                                                   for k in range(5)]
     rest = [s for s in distinct if s not in anchors]
+    blocks = [rest[i:i + _SCALE_BLOCK] for i in range(0, len(rest), _SCALE_BLOCK)]
     solved = dict(zip(anchors, map_ordered(
         threads, lambda s: lognormal.vol_model_quantiles(grid, s), anchors)))
-    solved.update(zip(rest, map_ordered(
-        threads, lambda s: lognormal.vol_model_quantiles(grid, s, anchors), rest)))
+    for block, rows in zip(blocks, map_ordered(
+            threads, lambda b: lognormal.vol_model_quantiles(grid, b, anchors), blocks)):
+        solved.update(zip(block, rows))
     return solved
 
 

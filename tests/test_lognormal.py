@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ndtr, ndtri, roots_hermite
 
 from depgof import (
     Ar1LogVolParams,
@@ -26,6 +25,7 @@ from depgof import (
     vol_model_quantiles,
 )
 from depgof import lognormal
+from depgof._special import hermite_rule, ndtr, ndtri_start
 
 
 # a grid of the levels 0.1, ..., 0.9: u = 1/2 is its node 4
@@ -252,6 +252,21 @@ def test_quantile_solve_checks_levels_and_fails_loudly(monkeypatch):
         basis.quantile(np.array([0.01, 0.3]))
 
 
+@pytest.mark.parametrize("m", [15, 51, 100])
+def test_each_row_of_a_block_solve_is_its_scales_own(m):
+    grid = QuantileGrid(m)
+    anchors = (0.46, 0.465, 0.47, 0.475, 0.48)
+    # the last scale lies far from the anchors and takes more Newton steps
+    block = [0.4612, 0.4687, 0.4733, 1.5]
+    rows = vol_model_quantiles(grid, block, anchors)
+    assert rows.shape == (4, m)
+    for s, row in zip(block, rows):
+        assert row.tobytes() == vol_model_quantiles(grid, s, anchors).tobytes(), s
+    # without anchors, each row is the shared basis's cached solve
+    assert vol_model_quantiles(grid, block)[1].tobytes() == vol_model_quantiles(
+        grid, block[1]).tobytes()
+
+
 def test_quantile_start_mirrors_with_the_levels(monkeypatch):
     basis = LogNormalVolBasis(0.8)
     u = QuantileGrid(51).points
@@ -282,7 +297,7 @@ def _two_sided_bracket_quantile(basis, u):
             break
         hi[low_hi] *= 2.0
         lo[high_lo] *= 2.0
-    x = np.clip(ndtri(u), lo, hi)
+    x = np.clip(ndtri_start(u), lo, hi)
     scale = np.exp(-basis.s * basis._omega)
     for _ in range(100):
         z = x[:, None] * scale
@@ -314,9 +329,9 @@ def test_hermite_nodes_are_shared_read_only():
     assert b1._omega is b2._omega and b1._weights is b2._weights
     assert not b1._omega.flags.writeable and not b1._weights.flags.writeable
     # the shared nodes are the ones each basis used to compute for itself
-    t, w = roots_hermite(b1.nodes)
+    omega, w = hermite_rule(b1.nodes, 2.0 ** -80)
     x = np.linspace(-4.0, 4.0, 33)
-    own = ndtr(x[:, None] * np.exp(-0.3 * (math.sqrt(2.0) * t))) @ (w / math.sqrt(math.pi))
+    own = ndtr(x[:, None] * np.exp(-0.3 * omega)) @ w
     assert np.array_equal(b1.cdf(x), own)
 
 

@@ -1015,8 +1015,8 @@ def test_pipeline_equals_verb_chain(tmp_path, model):
 
 def _anchors(scales):
     distinct = sorted(set(scales))
-    return distinct if len(distinct) <= 3 else [distinct[0], distinct[len(distinct) // 2],
-                                                distinct[-1]]
+    return distinct if len(distinct) <= 5 else [distinct[(len(distinct) - 1) * k // 4]
+                                                for k in range(5)]
 
 
 # leave-one-out scales lie within a few tenths of a percent of each other
@@ -1056,7 +1056,7 @@ def test_target_quantiles_do_not_depend_on_earlier_solves():
     scales = sorted({math.sqrt((own.sum() - v) / 8) for v in own})   # leave-one-out
     others = [s for s in scales if s not in _anchors(scales)]
     grid = QuantileGrid(51)
-    assert len(others) == 6
+    assert len(others) == 4
     cold = [vol_model_quantiles(grid, s).tobytes() for s in others]   # fills the cache
     assert [q.tobytes() for q in _target_quantiles(config, panel)] == before
     # a warm start lands on other bits than the cold solve somewhere here, so a
@@ -1098,14 +1098,13 @@ def test_gaussian_target_quantiles_are_norm_ppf(m):
 
 
 # Runs in a fresh interpreter: depgof, a tiny fig2 and a tiny empirical verb
-# chain with a standard normal target must leave scipy.stats and scipy.signal unloaded.
+# chain with a standard normal target must leave every scipy module unloaded.
 _STARTUP_SCRIPT = """
 import json, os, sys
 import numpy as np
 
 def heavy():
-    return sorted(name for name in sys.modules
-                  if name.split(".")[:2] in (["scipy", "stats"], ["scipy", "signal"]))
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 import depgof
 from depgof.cli import main
@@ -1131,7 +1130,7 @@ with open(os.path.join(out, "loaded.json"), "w") as fh:
 """
 
 
-def test_depgof_never_loads_scipy_stats_or_signal(tmp_path):
+def test_depgof_never_loads_scipy(tmp_path):
     import depgof
     src = os.path.dirname(os.path.dirname(os.path.abspath(depgof.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
