@@ -43,6 +43,7 @@ from .limit_law import (
     p_value,
     reduction_ratio,
     run_gof_test,
+    run_gof_tests,
     simulate_iid_statistic_distribution,
     simulate_statistic_distribution,
     uniformity_pvalue,

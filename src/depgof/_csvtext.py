@@ -22,8 +22,6 @@ _LEFT = 6                # row of the first digit in the shifted-digit source
 _SRC_ROWS = _LEFT + 23
 _COLS = np.arange(_WIDTH, dtype=np.int8)
 _PLACES = np.arange(1, 18, dtype=np.uint8)[:, None]   # 1 + the index of each digit
-# _KEEP[start * _WIDTH + sep]: the columns start..sep of a row
-_KEEP = ((_COLS >= np.arange(2)[:, None, None]) & (_COLS <= _COLS[:, None])).reshape(-1, _WIDTH)
 _TENS = 10.0 ** np.arange(23)           # exact doubles
 _SPLIT = 134217729.0                     # 2^27 + 1, Veltkamp's splitter
 _TENS_HI = _TENS * _SPLIT - (_TENS * _SPLIT - _TENS)
@@ -120,14 +118,16 @@ def format_block(x, seps):
     sep = 1 + np.where(last > k8, last + 2 + lead, k8 + 1)
     sep[slow] = 1
     flat[sep.astype(np.intp) * n + cols] = seps
-    start = np.logical_not(sign).view(np.int8)
-    keep = _KEEP[start * _WIDTH + sep]
-    out = np.compress(keep.reshape(-1), buf.T.reshape(-1)).tobytes()
+    # a row keeps its columns sign..sep; an unsigned row's sign column is
+    # already NUL, and no kept byte is, so NUL out the columns past sep and
+    # delete every NUL
+    buf &= _bytemask(_COLS[:, None] <= sep)
+    out = buf.T.tobytes().translate(None, b"\0")
     if not slow.size:
         return out
 
     # splice each other value in ahead of its separator
-    row_end = np.cumsum(sep - start + 1)
+    row_end = np.cumsum(sep - np.logical_not(sign).view(np.int8) + 1)
     pieces, at = [], 0
     for i in slow.tolist():
         cut = int(row_end[i]) - 1

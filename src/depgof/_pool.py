@@ -1,13 +1,16 @@
-"""The one worker pool of depgof: an ordered map on `threads` threads.
+"""The one worker pool of depgof, and the pin of numpy's OpenBLAS to one thread.
 
-numpy's OpenBLAS starts threads of its own for each matrix product, so a
-pool of T workers whose units multiply matrices would run T times
-OpenBLAS's count of compute threads.  ``map_ordered`` holds OpenBLAS at one
-thread while its pool runs, so a stage run on T workers runs T compute
-threads.  A matrix product splits its output, not its sums, across
-OpenBLAS's threads, so the pin changes no bit of a result.  The library is
-looked up on the first map, not at import; where numpy has no OpenBLAS of
-its own (an MKL or Accelerate build), the map runs unpinned.
+numpy's OpenBLAS starts threads of its own for each matrix product and
+factorization.  Inside ``one_blas_thread()`` it runs on one thread: every
+public ``runner`` stage, the FGN synthesis of ``sampling`` and every
+``map_ordered`` pool run there.  So a pool of T workers runs T compute
+threads, not T times OpenBLAS's count; OpenBLAS's helpers are not woken
+to spin beside the workers after an ``eigh``; and a Cholesky factor or a
+matrix-vector product, whose bits depend on the thread count, comes out as
+on a one-thread host.  The count the outermost pin found is restored when
+the last one ends, on an exception too.  The library is looked up on the
+first pin, not at import; where numpy has no OpenBLAS of its own (an MKL
+or Accelerate build), nothing is pinned.
 """
 
 import ctypes
@@ -16,11 +19,12 @@ import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 _lock = threading.Lock()
-_depth = 0       # maps running in the process, nested or concurrent
+_depth = 0       # pins held in the process, nested or concurrent
 _entry = None    # OpenBLAS's thread count when the outermost of them began
 _SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
             ("openblas_get_num_threads", "openblas_set_num_threads"))
@@ -61,15 +65,22 @@ def _unpin(blas):
             blas[1](_entry)
 
 
-def map_ordered(threads, fn, items):
-    """[fn(item) for item in items] on `threads` worker threads, in the items'
-    order, with OpenBLAS at one thread until the last map running ends."""
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread until the last pin held in the
+    process ends; usable as a decorator too."""
     blas = _openblas()
     if blas:
         _pin(blas)
     try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
+        yield
     finally:
         if blas:
             _unpin(blas)
+
+
+def map_ordered(threads, fn, items):
+    """[fn(item) for item in items] on `threads` worker threads, in the items'
+    order, inside ``one_blas_thread()``."""
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))

@@ -14,10 +14,11 @@ matrix perturbation theory on the kernel's excess over the bridge, and the
 exact Cramer-von Mises density of a spectrum, by inverting its
 characteristic function.
 
-Nothing here starts a thread, but the eigendecompositions
-(``np.linalg.eigh``) and matrix products run on OpenBLAS's own threads;
-the pipeline runs them outside its worker pools, at OpenBLAS's own
-thread setting.  Spectrum objects are immutable after construction.
+Nothing here starts a thread or pins one.  The eigendecompositions
+(``np.linalg.eigh``) and matrix products run at the caller's OpenBLAS
+thread count: the pipeline reaches them through ``runner`` stages, which
+hold OpenBLAS at one thread.  Spectrum objects are immutable after
+construction.
 """
 
 import hashlib

@@ -6,6 +6,8 @@ trial; the statistics are KS = max_i |y_i| and CM = sum_i y_i^2 / (M+1)
 (the quadrature weight of the grid, so that E[CM] = Tr H exactly).
 Distributions are immutable sorted sample arrays; p-values use the
 upper-tail (r+1)/(n_trials+1) convention, which never returns zero.
+``run_gof_tests`` tests a panel's columns in one array pass, against one
+or more law pairs; ``run_gof_test`` is its one-column case.
 """
 
 import math
@@ -196,42 +198,56 @@ def p_value(stat, dist):
     return (r + 1.0) / (dist.n_trials + 1.0)
 
 
-def run_gof_test(series, quantiles, dist_ks, dist_cm):
-    """Test one series against a target marginal given by its quantiles at the law grid.
+def run_gof_tests(panel, quantiles, laws):
+    """Test each column of the (n, k) array ``panel`` against its row of the
+    (k, M) target ``quantiles``, under each (KS law, CM law) pair of the
+    sequence ``laws``: one list of k GofResults per pair.
 
-    ``quantiles`` holds F^{-1}(u_i) at the interior grid levels u_i of the
-    null laws, so the empirical bridge sqrt(N)(F_N(u_i) - u_i) is read off
-    as #{x <= F^{-1}(u_i)}/N without evaluating F at the sample.  Testing at
-    the grid of the laws makes the finite-grid sup/sum biases of the
-    statistic and of its reference distribution cancel.
-
-    ``dist_ks`` and ``dist_cm`` may also be tuples of laws of one length on
-    one grid: the statistics are computed once, and a tuple of GofResults
-    comes back, one per (dist_ks[j], dist_cm[j]) pair.
+    A row of ``quantiles`` holds F^{-1}(u_i) at the interior grid levels u_i
+    of the null laws, so a column's empirical bridge sqrt(N)(F_N(u_i) - u_i)
+    is read off as #{x <= F^{-1}(u_i)}/N without evaluating F at the sample.
+    Testing at the grid of the laws makes the finite-grid sup/sum biases of
+    the statistic and of its reference distribution cancel.  The panel is
+    sorted once and searched once a column; the statistics of all columns
+    and the p-values of each pair are then array operations.
     """
-    many = isinstance(dist_ks, tuple)
-    if many != isinstance(dist_cm, tuple) or many and len(dist_ks) != len(dist_cm):
-        raise ParameterError("need a KS and a CM law, or two tuples of them of one length")
-    pairs = tuple(zip(dist_ks, dist_cm)) if many else ((dist_ks, dist_cm),)
-    if any(law_ks.kind != "ks" or law_cm.kind != "cm" for law_ks, law_cm in pairs):
+    if any(law_ks.kind != "ks" or law_cm.kind != "cm" for law_ks, law_cm in laws):
         raise ParameterError("distributions must be (ks, cm) in that order")
-    if len({law.grid_m for pair in pairs for law in pair}) != 1:
+    if len({law.grid_m for pair in laws for law in pair}) != 1:
         raise ParameterError("null laws were built on different grids")
-    g = QuantileGrid(pairs[0][0].grid_m)
+    g = QuantileGrid(laws[0][0].grid_m)
+    x = np.asarray(panel, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ParameterError(f"need a panel of series of at least 2 observations, "
+                             f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ParameterError("series contains non-finite values")
+    n, k = x.shape
     q = np.asarray(quantiles, dtype=float)
-    if q.shape != (g.m,):
-        raise DataError(f"need one target quantile per grid level ({g.m}), got shape {q.shape}")
-    if not np.isfinite(q).all() or np.any(np.diff(q) < 0):
+    if q.shape != (k, g.m):
+        raise DataError(f"need one target quantile per column ({k}) and grid level ({g.m}), "
+                        f"got shape {q.shape}")
+    if not np.isfinite(q).all() or np.any(np.diff(q, axis=1) < 0):
         raise DataError("target quantiles must be finite and non-decreasing")
-    x = as_series(series)
-    n = x.size
-    ecdf = np.searchsorted(np.sort(x), q, side="right") / n
-    y = math.sqrt(n) * (ecdf - g.points)
-    ks = float(np.abs(y).max())
-    cm = float(np.sum(y * y) * g.weight)
-    results = tuple(GofResult(ks_stat=ks, cm_stat=cm, ks_p=float(p_value(ks, law_ks)),
-                              cm_p=float(p_value(cm, law_cm))) for law_ks, law_cm in pairs)
-    return results if many else results[0]
+    cols = x.T.copy()
+    cols.sort(axis=1)
+    below = np.empty((k, g.m), dtype=np.intp)
+    for j in range(k):
+        below[j] = np.searchsorted(cols[j], q[j], side="right")
+    y = math.sqrt(n) * (below / n - g.points)
+    ks = np.abs(y).max(axis=1)
+    cm = np.sum(y * y, axis=1) * g.weight
+    stats = ks.tolist(), cm.tolist()
+    return [[GofResult(*row) for row in zip(*stats, p_value(ks, law_ks).tolist(),
+                                            p_value(cm, law_cm).tolist())]
+            for law_ks, law_cm in laws]
+
+
+def run_gof_test(series, quantiles, dist_ks, dist_cm):
+    """Test one series against a target marginal given by its quantiles at the law
+    grid: the one-column case of ``run_gof_tests``."""
+    return run_gof_tests(as_series(series)[:, None], np.asarray(quantiles, dtype=float)[None],
+                         [(dist_ks, dist_cm)])[0][0]
 
 
 def reduction_ratio(dep, iid, u):

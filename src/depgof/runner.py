@@ -29,7 +29,11 @@ Monte-Carlo law chunks, the lags of ``estimate_psi`` and the anchor scales
 and scale blocks of ``test_panel``'s target quantiles, each mapped by
 ``_pool.map_ordered``.  Each unit's arithmetic does not depend on
 ``threads``, and its results are combined in a fixed order, so it changes
-no result.  All stages are deterministic given the config and seed.
+no result.  Every public stage and chain runs inside
+``_pool.one_blas_thread()``, so the BLAS calls it makes (the kernel's
+``eigh``, the FGN Cholesky factor and products) run on one OpenBLAS thread
+and give a one-thread host's bits on any host.  All stages are
+deterministic given the config and seed.
 """
 
 import json
@@ -44,7 +48,7 @@ import numpy as np
 
 from . import copulas, kernels, limit_law, lognormal, sampling
 from ._csvtext import format_block
-from ._pool import map_ordered
+from ._pool import map_ordered, one_blas_thread
 from .errors import ConfigError, DataError, ParameterError
 from .grid import QuantileGrid
 
@@ -419,6 +423,7 @@ def _model(config):
     raise ConfigError("the empirical model has no generator; use ar1, fgn or iid")
 
 
+@one_blas_thread()
 def generate_panel(config, outdir=None):
     """Synthesize `replications` independent series of length n; writes panel.csv."""
     params, generate = _model(config)
@@ -435,6 +440,7 @@ def generate_panel(config, outdir=None):
     return panel
 
 
+@one_blas_thread()
 def estimate_psi(panel, config, outdir=None):
     """Average self-copulas over the panel for lags 1..t_max and accumulate Psi.
 
@@ -466,6 +472,7 @@ def estimate_psi(panel, config, outdir=None):
     return psi
 
 
+@one_blas_thread()
 def build_kernel(config, psi=None, outdir=None):
     """Psi-based kernel for the empirical model, analytic otherwise; writes kernel.csv."""
     grid = QuantileGrid(config.grid_m)
@@ -484,6 +491,7 @@ def build_kernel(config, psi=None, outdir=None):
     return kernel
 
 
+@one_blas_thread()
 def diagonalize(kernel, outdir=None):
     """Spectrum of the kernel; writes spectrum_eigvals.csv and spectrum_eigvecs.csv."""
     spectrum = kernels.eigendecompose(kernel)
@@ -495,6 +503,7 @@ def diagonalize(kernel, outdir=None):
     return spectrum
 
 
+@one_blas_thread()
 def simulate_laws(spectra, config, outdir=None):
     """{suffix: (KS law, CM law)} of each spectrum of the dict ``spectra`` {suffix:
     spectrum}, all drawn from the normals of config.seed; writes
@@ -556,18 +565,18 @@ def _scale_quantiles(grid, scales, threads):
     return solved
 
 
+@one_blas_thread()
 def test_panel(panel, config, laws, outdir=None):
     """{suffix: one GofResult per column} against each (KS, CM) law pair of the dict
     ``laws`` {suffix: pair}.  Each column's target quantiles and statistics are
-    computed once, for every pair; writes results<suffix>.jsonl."""
+    computed once, for every pair, in one ``limit_law.run_gof_tests`` pass;
+    writes results<suffix>.jsonl."""
     for dist_ks, dist_cm in laws.values():
         if {dist_ks.grid_m, dist_cm.grid_m} != {config.grid_m}:
             raise DataError(f"null laws were simulated on grids m={dist_ks.grid_m}, "
                             f"m={dist_cm.grid_m}; the config has grid_m={config.grid_m}")
-    ks_laws, cm_laws = zip(*laws.values())
-    per_column = [limit_law.run_gof_test(col, q, ks_laws, cm_laws) for (_, col), q
-                  in zip(panel.columns(), _target_quantiles(config, panel))]
-    results = {suffix: [res[j] for res in per_column] for j, suffix in enumerate(laws)}
+    results = dict(zip(laws, limit_law.run_gof_tests(
+        panel.values, _target_quantiles(config, panel), list(laws.values()))))
     if outdir:
         for suffix, column_results in results.items():
             write_results(os.path.join(outdir, f"results{suffix}.jsonl"), (
@@ -577,6 +586,7 @@ def test_panel(panel, config, laws, outdir=None):
     return results
 
 
+@one_blas_thread()
 def run_pipeline(config):
     """Full chain: panel (-> Psi) -> kernel -> spectrum -> laws -> per-series tests.
 
@@ -600,6 +610,7 @@ def run_pipeline(config):
     return test_panel(panel, config, laws, outdir=outdir)[""]
 
 
+@one_blas_thread()
 def reproduce(which, config):
     """The synthetic experiment ``which`` of PRESETS, end to end, under the
     naive and the corrected laws, with the experiment's model.

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._pool import one_blas_thread
 from .errors import NumericalError, ParameterError
 
 _CHOL_JITTER = 1e-12
@@ -196,12 +197,16 @@ def _fgn_factor(params, n):
     return factor
 
 
+@one_blas_thread()
 def gen_fgn_logvol(params, n, seed, return_logvol=False):
     """Simulate X_n = xi_n exp(omega_n - Sigma^2) with long-memory log-vols.
 
     The omega vector is exactly Gaussian with the fgn_covariance matrix,
     synthesized by lower-triangular factorization (exact at desk scale,
     n <= a few thousand; circulant embedding would only be an optimization).
+    The Cholesky factor and its product with the normals round differently
+    on each OpenBLAS thread count, so both run at one thread: the series
+    are the bits of a one-thread host on any host.
     ``return_logvol`` also returns omega, for the tests, as in gen_ar1_logvol.
     """
     if n < 2:

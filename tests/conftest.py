@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import gammaln, kv, ndtr, ndtri
 
-from depgof import QuantileGrid, get_basis
+from depgof import QuantileGrid, _pool, get_basis
 
 ACCEPTANCE_LINES = []
 
@@ -23,6 +23,21 @@ def grid():
 @pytest.fixture(scope="session")
 def basis():
     return get_basis()
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS at two threads for the test, its count restored after."""
+    found = _pool._openblas()
+    if found is None:
+        pytest.skip("numpy has no OpenBLAS of its own to pin")
+    get, put = found
+    before = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(before)
 
 
 # --- independent oracles shared by several test modules --------------------

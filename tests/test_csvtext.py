@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -50,6 +50,9 @@ _ARRAYS = hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 30
 
 @settings(max_examples=150, deadline=None)
 @given(values=_ARRAYS, block=st.sampled_from([1, 7, 16, 8192]))
+# rows that begin and end with values spliced in by %, across blocks of 7
+@example(values=np.array([[1e-5, 0.25, -np.inf], [np.nan, -0.0, 1e-5], [-np.inf, -3.5, np.nan],
+                          [-0.0, 1e-5, -0.0]]), block=7)
 def test_written_bytes_are_savetxt(tmp_path_factory, values, block):
     with mock.patch.object(runner, "_WRITE_BLOCK", block):
         path = _written(tmp_path_factory, values)

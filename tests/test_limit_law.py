@@ -12,6 +12,7 @@ from scipy.stats import kstest, norm
 from depgof import (
     Ar1LogVolParams,
     DataError,
+    GofResult,
     ParameterError,
     PerturbativeInputs,
     QuantileGrid,
@@ -26,6 +27,7 @@ from depgof import (
     perturbative_spectrum,
     reduction_ratio,
     run_gof_test,
+    run_gof_tests,
     simulate_iid_statistic_distribution,
     simulate_statistic_distribution,
     uniformity_pvalue,
@@ -351,17 +353,62 @@ def test_run_gof_grid_mismatch(grid):
 
 
 def test_run_gof_test_against_several_law_pairs(grid):
-    # the statistics are computed once; each pair gives the p-values of a one-pair test
+    # a panel's statistics are computed once; each pair gives the results of
+    # a one-pair test of each series alone
     laws = simulate_statistic_distribution(_FIG2_SPECTRA[:2], 20_000, seed=89)
-    x = np.random.default_rng(97).standard_normal(400)
-    q = norm.ppf(grid.points)
-    ks_laws, cm_laws = zip(*laws)
-    both = run_gof_test(x, q, ks_laws, cm_laws)
-    assert both == tuple(run_gof_test(x, q, ks, cm) for ks, cm in laws)
-    assert both[0].ks_p != both[1].ks_p
-    for bad_ks, bad_cm in ((ks_laws, cm_laws[0]), (ks_laws, cm_laws[:1]), (cm_laws, ks_laws)):
+    panel = np.random.default_rng(97).standard_normal((400, 3))
+    q = np.tile(norm.ppf(grid.points), (3, 1))
+    both = run_gof_tests(panel, q, laws)
+    assert both == [[run_gof_test(x, q[0], ks, cm) for x in panel.T] for ks, cm in laws]
+    assert both[0][0].ks_p != both[1][0].ks_p
+    (ks0, cm0), (ks1, cm1) = laws
+    other = _dist("ks", [1.0], m=50), _dist("cm", [1.0], m=50)
+    for bad in ([(ks0, cm0), (cm1, ks1)], [(ks0, ks1)], [(ks0, cm0), other]):
         with pytest.raises(ParameterError):
-            run_gof_test(x, q, bad_ks, bad_cm)
+            run_gof_tests(panel, q, bad)
+    with_inf = panel.copy()
+    with_inf[7, 2] = np.inf
+    with pytest.raises(ParameterError, match="non-finite"):
+        run_gof_tests(with_inf, q, laws)
+    for bad_q in (q[:, ::-1], q[:2], q[:, :-1]):   # decreasing, a row short, a level short
+        with pytest.raises(DataError):
+            run_gof_tests(panel, bad_q, laws)
+
+
+def _one_series(x, q, law_ks, law_cm):
+    """The test of one series, by the 1-D arithmetic of a series alone."""
+    g = QuantileGrid(law_ks.grid_m)
+    y = math.sqrt(x.size) * (np.searchsorted(np.sort(x), q, side="right") / x.size - g.points)
+    ks, cm = float(np.abs(y).max()), float(np.sum(y * y) * g.weight)
+    return GofResult(ks, cm, float(p_value(ks, law_ks)), float(p_value(cm, law_cm)))
+
+
+def _result_bits(results):
+    return np.array([[r.ks_stat, r.cm_stat, r.ks_p, r.cm_p] for r in results]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([10, 15, 100, 599]), pairs=st.integers(1, 3), k=st.integers(1, 5),
+       n=st.integers(2, 400), seed=st.integers(0, 2 ** 32 - 1), digits=st.sampled_from([1, 17]))
+@example(m=599, pairs=3, k=5, n=400, seed=0, digits=1)
+def test_panel_pass_is_each_series_alone(m, pairs, k, n, seed, digits):
+    # rounded values tie with each other and with the rounded quantiles, and
+    # some law samples are statistics of the panel, so p-values meet ties too
+    rng = np.random.default_rng(seed)
+    q = np.round(np.sort(rng.standard_normal((k, m)), axis=1), digits)
+    panel = np.round(rng.standard_normal((n, k)), digits)
+    panel[rng.integers(0, n, k), np.arange(k)] = q[np.arange(k), rng.integers(0, m, k)]
+    stub = _dist("ks", [1.0], m), _dist("cm", [1.0], m)
+    alone = [_one_series(x, qj, *stub) for x, qj in zip(panel.T, q)]
+    laws = [(_dist("ks", np.concatenate([rng.gamma(2.0, 0.5, 50), [r.ks_stat for r in alone]]), m),
+             _dist("cm", np.concatenate([rng.gamma(1.0, 0.2, 50), [r.cm_stat for r in alone]]), m))
+            for _ in range(pairs)]
+    together = run_gof_tests(panel, q, laws)
+    assert len(together) == pairs
+    for (law_ks, law_cm), results in zip(laws, together):
+        expected = [_one_series(x, qj, law_ks, law_cm) for x, qj in zip(panel.T, q)]
+        assert _result_bits(results) == _result_bits(expected)
+        assert results == [run_gof_test(x, qj, law_ks, law_cm) for x, qj in zip(panel.T, q)]
 
 
 def test_reduction_ratio(grid):

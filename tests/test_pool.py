@@ -4,27 +4,14 @@ import time
 
 import pytest
 
-from depgof import Ar1LogVolParams, QuantileGrid, build_kernel_ar1, eigendecompose
-from depgof import _pool
-from depgof._pool import map_ordered
+from depgof import (Ar1LogVolParams, FgnLogVolParams, PipelineConfig, QuantileGrid,
+                    build_kernel_ar1, eigendecompose, gen_fgn_logvol)
+from depgof import _pool, sampling
+from depgof._pool import map_ordered, one_blas_thread
 from depgof.limit_law import simulate_statistic_distribution
+from depgof.runner import generate_panel
 
 _SPECTRUM = eigendecompose(build_kernel_ar1(Ar1LogVolParams(0.88, 0.05), QuantileGrid(100)))
-
-
-@pytest.fixture
-def blas():
-    """numpy's OpenBLAS at two threads for the test, its count restored after."""
-    found = _pool._openblas()
-    if found is None:
-        pytest.skip("numpy has no OpenBLAS of its own to pin")
-    get, put = found
-    before = get()
-    put(2)
-    try:
-        yield get
-    finally:
-        put(before)
 
 
 def test_map_ordered_returns_results_in_item_order():
@@ -55,6 +42,17 @@ def test_map_pins_openblas_to_one_thread_and_restores_it(blas):
     assert inner == [[1] * 4] * 3
     assert blas() == 2 and _pool._depth == 0
 
+    # the pin alone, nested in itself and around a map, as a decorator, and on a raise
+    with one_blas_thread():
+        with one_blas_thread():
+            assert map_ordered(2, lambda _: blas(), range(3)) + [blas()] == [1] * 4
+        assert blas() == 1
+    assert one_blas_thread()(blas)() == 1
+    with pytest.raises(ValueError, match="inside the pin"):
+        with one_blas_thread():
+            raise ValueError("inside the pin")
+    assert blas() == 2 and _pool._depth == 0
+
 
 def test_concurrent_nested_maps_restore_the_count_once(blas):
     # more workers than cores, each running maps of its own, with the
@@ -62,10 +60,13 @@ def test_concurrent_nested_maps_restore_the_count_once(blas):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     seen = []
+    pinned = one_blas_thread()(lambda _: [blas() for _ in range(6)])
     try:
         workers = [threading.Thread(target=lambda: seen.append(map_ordered(
             3, lambda _: map_ordered(3, lambda _: blas(), range(6)), range(6))))
             for _ in range(4)]
+        workers += [threading.Thread(target=lambda: seen.append(map_ordered(
+            3, pinned, range(6)))) for _ in range(2)]
         for t in workers:
             t.start()
         seen.append(map_ordered(5, lambda _: map_ordered(2, lambda _: blas(), range(6)),
@@ -75,7 +76,7 @@ def test_concurrent_nested_maps_restore_the_count_once(blas):
         assert not any(t.is_alive() for t in workers)
     finally:
         sys.setswitchinterval(interval)
-    assert seen == [[[1] * 6] * 6] * 5
+    assert seen == [[[1] * 6] * 6] * 7
     assert blas() == 2 and _pool._depth == 0
 
 
@@ -97,3 +98,21 @@ def test_law_samples_do_not_depend_on_the_pin(monkeypatch, threads):
             found[1](before)
     for a, b in zip(pinned, free):
         assert a.samples.tobytes() == b.samples.tobytes()
+
+
+def test_fgn_bits_do_not_depend_on_openblas_threads(blas):
+    # at n = 1500 both the Cholesky factor and its product with the normals
+    # round differently on two OpenBLAS threads than on one
+    params = FgnLogVolParams(0.4, 1.0)
+    config = PipelineConfig(model="fgn", n=1500, replications=2, seed=11, threads=2)
+
+    def draw():
+        sampling._fgn_factor.cache_clear()
+        x, omega = gen_fgn_logvol(params, 1500, 11, return_logvol=True)
+        sampling._fgn_factor.cache_clear()
+        return x.tobytes(), omega.tobytes(), generate_panel(config).values.tobytes()
+
+    at_two = draw()
+    assert blas() == 2
+    _pool._openblas()[1](1)
+    assert draw() == at_two

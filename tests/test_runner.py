@@ -37,6 +37,7 @@ from depgof import (
     standardize,
     vol_model_quantiles,
 )
+from depgof import _pool, sampling
 from depgof.cli import main
 from depgof.limit_law import _chunk_rng
 from depgof.lognormal import LogNormalVolBasis
@@ -782,6 +783,38 @@ def test_one_thread_pool():
     pools = [(path.stem, fn) for path in sorted(src.glob("*.py")) for fn, call in _calls(path)
              if getattr(call.func, "attr", getattr(call.func, "id", None)) == "ThreadPoolExecutor"]
     assert pools == [("_pool", "map_ordered")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
+def test_every_stage_holds_openblas_at_one_thread(tmp_path, monkeypatch, blas):
+    # eigh and cholesky thread inside OpenBLAS; each call must find it pinned,
+    # by the stage that reached it, and each stage must restore the count
+    seen = []
+    for name in ("eigh", "cholesky"):
+        def record(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            seen.append((_name, blas()))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    sampling._fgn_factor.cache_clear()
+    small = dict(n=300, replications=4, grid_m=15, n_trials=2000, seed=5, t_max=4)
+    reproduce("fig2", PipelineConfig(outdir=str(tmp_path / "fig2"), **small))
+    assert blas() == 2
+    run_pipeline(PipelineConfig(model="fgn", outdir=str(tmp_path / "fgn"), **small))
+    assert blas() == 2
+    rows = np.random.default_rng(17).standard_normal((300, 3))
+    data = _write(tmp_path, "panel_in.csv", "x,y,z\n" + "".join(
+        ",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    cfg = _write(tmp_path, "emp.cfg", f"model=empirical\ninput={data}\ngrid_m=15\nt_max=4\n"
+                 f"n_trials=2000\noutdir={tmp_path / 'emp'}\n")
+    for verb in (["estimate"], ["kernel"], ["law", "--seed", "5"], ["test"]):
+        assert main([verb[0], "-c", cfg] + verb[1:]) == 0
+        assert blas() == 2
+    assert sorted(set(seen)) == [("cholesky", 1), ("eigh", 1)]
+    assert [name for name, _ in seen].count("eigh") == 4   # fig2's two spectra, fgn, law
+    with pytest.raises(DataError, match="t_max=1000"):
+        estimate_psi(PanelData(names=list("xyz"), values=rows),
+                     PipelineConfig(model="empirical", grid_m=15, t_max=1000))
+    assert blas() == 2 and _pool._depth == 0
 
 
 def test_every_public_name_has_a_caller():
