@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical error.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -38,7 +37,7 @@ def _load(args, preset=None):
         config = replace(config, outdir=args.outdir)
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
-    os.makedirs(config.outdir, exist_ok=True)
+    runner.make_outdir(config.outdir)
     return config
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import map_ordered
 from ._special import hermite_rule, ndtr, ndtri_start
 from .copulas import CopulaSurface
 from .errors import NumericalError, ParameterError
@@ -40,6 +41,9 @@ DEFAULT_QUADRATURE_NODES = 384
 _WEIGHT_FLOOR = 2.0 ** -80
 _BRACKET_DOUBLINGS = 60
 _NEWTON_STEPS = 100
+# scales per warm quantile solve: about 50k CDF points a Newton step at m = 100;
+# one block of 95 scales ran slower, its 1.2M points falling out of cache
+_SCALE_BLOCK = 4
 
 
 def _phi(z):
@@ -60,13 +64,18 @@ def _hermite(nodes):
     return omega, weights
 
 
-def _solve_quantiles(scales, u, start, omega, weights):
-    """F_s^{-1}(u) of the levels u in (0, 1/2] for each scale s, one row per scale,
-    by Newton steps from the finite ``start`` (one row per scale) kept inside a
-    bracket (a step that leaves it bisects it).  A row is done when, at each of
-    its levels, a step or the bracket is below 1e-13; a step reads the CDF and
-    the density off one set of quadrature points.  Each row's arithmetic is its
-    own, so a row comes out the same whatever rows are solved with it."""
+def _solve_quantiles(scales, u, omega, weights, start=None):
+    """F_s^{-1}(u) of the levels u in (0, 1) for each scale s, one row per scale,
+    by Newton steps from ``start`` (one finite row per scale; by default Acklam's
+    Gaussian quantile, F^{-1} at s = 0) kept inside a bracket (a step that leaves
+    it bisects it).  A level above 1/2 is solved as -F^{-1}(1 - u), where the CDF
+    has relative resolution.  A row is done when, at each of its levels, a step
+    or the bracket is below 1e-13; a step reads the CDF and the density off one
+    set of quadrature points.  Each row's arithmetic is its own, so a row comes
+    out the same whatever rows are solved with it."""
+    sign = np.where(u > 0.5, -1.0, 1.0)
+    u = np.where(u > 0.5, 1.0 - u, u)
+    start = np.tile(ndtri_start(u), (len(scales), 1)) if start is None else sign * start
     scale = np.exp(-scales[:, None] * omega)[:, None, :]       # (rows, 1, nodes)
     # every hi > 0 has F(hi) >= F(0) = 1/2 >= u, so only lo may need widening;
     # the levels share few lo values, and each row's CDF is read once at each
@@ -99,20 +108,13 @@ def _solve_quantiles(scales, u, start, omega, weights):
         done = np.all(small | (resid == 0.0) | (hi - lo <= tol), axis=1)
         out[live[done]] = np.where(small, newton, x)[done]
         if done.all():
-            return out
+            return sign * out
         # a Newton step that does not land inside the bracket bisects it
         inside = (newton > lo) & (newton < hi)
         x = np.where(small | inside, np.clip(newton, lo, hi), 0.5 * (lo + hi))
         keep = ~done
         live, x, lo, hi, scale = live[keep], x[keep], lo[keep], hi[keep], scale[keep]
     raise NumericalError(f"marginal quantile did not converge in {_NEWTON_STEPS} steps")
-
-
-def _mirrored(u):
-    """The levels u mirrored into (0, 1/2], where the CDF has relative resolution,
-    and the signs that map their solves back: F(-x) = 1 - F(x), and 1 - u is exact
-    for u > 1/2."""
-    return np.where(u > 0.5, 1.0 - u, u), np.where(u > 0.5, -1.0, 1.0)
 
 
 class LogNormalVolBasis:
@@ -133,25 +135,13 @@ class LogNormalVolBasis:
         """Marginal CDF F(x) = E[Phi(x e^{-s w})]; F(-x) = 1 - F(x)."""
         return self._expect(ndtr, np.asarray(x, dtype=float))
 
-    def quantile(self, u, start=None):
+    def quantile(self, u):
         """Inverse marginal CDF of every level at once, by the Newton solve of
-        ``_solve_quantiles`` on this scale alone.  The steps start from ``start``, a
-        finite guess of F^{-1}(u) of u's shape, or by default from Acklam's
-        approximation of the Gaussian quantile, which is F^{-1} at s = 0."""
+        ``_solve_quantiles`` on this scale alone, from its default start."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
             raise ParameterError("quantile level must lie strictly inside (0,1)")
-        levels, sign = _mirrored(u_arr)
-        if start is None:
-            start = ndtri_start(levels)
-        else:
-            start = np.atleast_1d(np.asarray(start, dtype=float))
-            if start.shape != u_arr.shape or not np.isfinite(start).all():
-                raise ParameterError(f"a quantile start must be finite and of the levels' "
-                                     f"shape {u_arr.shape}, got shape {start.shape}")
-            start = sign * start
-        x = sign * _solve_quantiles(np.array([self.s]), levels, start[None], self._omega,
-                                    self._weights)[0]
+        x = _solve_quantiles(np.array([self.s]), u_arr, self._omega, self._weights)[0]
         return x if np.ndim(u) else float(x[0])
 
     @functools.cache
@@ -201,29 +191,41 @@ def vol_model_cdf(x, s):
     return basis.cdf(np.asarray(x, dtype=float) * math.exp(s * s))
 
 
-def vol_model_quantiles(grid, s, anchors=()):
+def vol_model_quantiles(grid, s, threads=1):
     """Quantiles of the normalized model at the grid levels: F_s^{-1}(u_i) times
-    e^{-s^2}, the inverse of vol_model_cdf; ``s`` is a scale, or a sequence of
-    scales for one row each.  F_s^{-1}(u_i) is the shared basis's cached solve
-    or, given ``anchors`` (other scales), a solve that starts from the Lagrange
-    polynomial in s through the anchors' cached F^{-1}(u_i), and neither reads
-    nor fills the cache of scale s.  The scales of one call are then solved as
-    one vectorized Newton over scales, levels and nodes, and each row is the
-    one its scale alone would give.  From five anchors a solve takes one Newton
-    step when the scales lie within 0.4 % of each other, as the leave-one-out
-    scales of a panel do."""
-    scales = [float(v) for v in np.atleast_1d(s)]
-    shrink = np.array([[math.exp(-v * v)] for v in scales])
-    if not anchors:
-        rows = np.array([get_basis(v).quantiles(grid) for v in scales]) * shrink
-    else:
+    e^{-s^2}, the inverse of vol_model_cdf; for a scale ``s``, F_s^{-1}(u_i) is the
+    shared basis's cached solve.  A sequence of scales gets one row each, in its
+    order.  Of more than five distinct scales, only five anchors (the smallest,
+    the three quartiles and the largest) are cached solves; every other scale
+    starts from the Lagrange polynomial in s through the anchors' F^{-1}(u_i), in
+    sorted blocks of _SCALE_BLOCK, one vectorized Newton each.  From five anchors
+    a solve takes one Newton step when the scales lie within 0.4 % of each other,
+    as a panel's leave-one-out scales do.  The solves run on ``threads`` workers;
+    a row depends on the set of scales, not on ``threads``, on the blocks or on
+    what the process solved before."""
+    if not np.ndim(s):
+        s = float(s)
+        return get_basis(s).quantiles(grid) * math.exp(-s * s)
+    scales = [float(v) for v in s]
+    distinct = sorted(set(scales))
+    anchors = distinct if len(distinct) <= 5 else [distinct[(len(distinct) - 1) * k // 4]
+                                                   for k in range(5)]
+    rest = [v for v in distinct if v not in anchors]
+    blocks = [rest[i:i + _SCALE_BLOCK] for i in range(0, len(rest), _SCALE_BLOCK)]
+
+    def warm(block):
         start = np.array([sum(get_basis(a).quantiles(grid)
                               * math.prod((v - b) / (a - b) for b in anchors if b != a)
-                              for a in anchors) for v in scales])
-        levels, sign = _mirrored(grid.points)
-        rows = sign * _solve_quantiles(np.array(scales), levels, sign * start,
-                                       *_hermite(DEFAULT_QUADRATURE_NODES)) * shrink
-    return rows if np.ndim(s) else rows[0]
+                              for a in anchors) for v in block])
+        shrink = np.array([[math.exp(-v * v)] for v in block])
+        return _solve_quantiles(np.array(block), grid.points,
+                                *_hermite(DEFAULT_QUADRATURE_NODES), start) * shrink
+
+    solved = dict(zip(anchors, map_ordered(
+        threads, lambda v: vol_model_quantiles(grid, v), anchors)))
+    for block, rows in zip(blocks, map_ordered(threads, warm, blocks)):
+        solved.update(zip(block, rows))
+    return np.array([solved[v] for v in scales])
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,15 @@ of the grid levels, so the target CDF is never evaluated at the samples.
 
 The ``threads`` key (>= 1; by default the CPUs the process may run on)
 sets the worker count of the stages whose units are independent: the
-Monte-Carlo law chunks, the lags of ``estimate_psi`` and the anchor scales
-and scale blocks of ``test_panel``'s target quantiles, each mapped by
-``_pool.map_ordered``.  Each unit's arithmetic does not depend on
-``threads``, and its results are combined in a fixed order, so it changes
-no result.  Every public stage and chain runs inside
-``_pool.one_blas_thread()``, so the BLAS calls it makes (the kernel's
-``eigh``, the FGN Cholesky factor and products) run on one OpenBLAS thread
-and give a one-thread host's bits on any host.  All stages are
-deterministic given the config and seed.
+Monte-Carlo law chunks, the lags of ``estimate_psi`` and the solves of
+``test_panel``'s target quantiles (``lognormal.vol_model_quantiles`` picks
+the scales it solves cold), each mapped by ``_pool.map_ordered``.  Each
+unit's arithmetic does not depend on ``threads``, and its results are
+combined in a fixed order, so it changes no result.  Every public stage
+and chain runs inside ``_pool.one_blas_thread()``, so the BLAS calls it
+makes (the kernel's ``eigh``, the FGN Cholesky factor and products) run on
+one OpenBLAS thread and give a one-thread host's bits on any host.  All
+stages are deterministic given the config and seed.
 """
 
 import json
@@ -55,9 +55,6 @@ from .grid import QuantileGrid
 _MODELS = ("empirical", "ar1", "fgn", "iid")
 _PANEL_STREAM = 1   # spawn-key prefix of panel columns; law chunk j uses the key (j,)
 _WRITE_BLOCK = 8192   # numbers formatted per write
-# scales per warm quantile solve: about 50k CDF points a Newton step at m = 100;
-# one block of 95 scales ran slower, its 1.2M points falling out of cache
-_SCALE_BLOCK = 4
 # The `reproduce` experiments.  Each forces its model over the config's, and the CLI
 # reads the config file over its other settings.  fig2, AR(1) log-vol series: with
 # the naive iid laws the p-values pile up near zero, with the corrected laws they
@@ -117,10 +114,11 @@ _FIELD_TYPES = {f.name: f.type for f in PipelineConfig.__dataclass_fields__.valu
 
 def parse_config_text(text, preset=None):
     """Parse ``key=value`` lines into a PipelineConfig; a line overrides the
-    ``preset`` dict, which overrides the field defaults.  A ``#`` at the start
-    of a line or after whitespace starts a comment; any other is part of the
-    value, as in ``outdir = runs/exp#2``."""
+    ``preset`` dict, which overrides the field defaults, and a key set on two
+    lines is refused.  A ``#`` at the start of a line or after whitespace starts
+    a comment; any other is part of the value, as in ``outdir = runs/exp#2``."""
     values = dict(preset or {})
+    set_on = {}   # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
@@ -131,6 +129,10 @@ def parse_config_text(text, preset=None):
         key, val = key.strip(), val.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} is set again; "
+                              f"line {set_on[key]} set it first")
+        set_on[key] = lineno
         kind = _FIELD_TYPES[key]
         try:
             if kind is int:
@@ -335,6 +337,16 @@ def write_results(path, rows):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def make_outdir(path):
+    """Make the output directory ``path`` and its parents, where missing.  A path
+    that names a file, or that cannot be made, is a ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"outdir {path}: cannot make the directory "
+                          f"({exc.strerror or exc})") from None
+
+
 def _artifact(config, name, verb):
     """Path of the outdir artifact ``name``, which `depgof <verb>` writes."""
     path = os.path.join(config.outdir, name)
@@ -527,7 +539,9 @@ def _check_target_columns(config, panel):
 
 
 def _target_quantiles(config, panel):
-    """Null-marginal quantiles at the grid levels, one vector per column."""
+    """Null-marginal quantiles at the grid levels, one row per column, at each
+    column's s^2: the config's target_s2, else the model's V[omega], else (the
+    empirical model) the mean of the other columns' calibrated s^2."""
     _check_target_columns(config, panel)
     grid = QuantileGrid(config.grid_m)
     k = len(panel.names)
@@ -540,29 +554,7 @@ def _target_quantiles(config, panel):
         own = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
         total = own.sum()
         s2 = [max((total - v) / (k - 1), 0.0) for v in own]
-    scales = [math.sqrt(v) for v in s2]
-    solved = _scale_quantiles(grid, scales, config.threads)
-    return [solved[s] for s in scales]
-
-
-def _scale_quantiles(grid, scales, threads):
-    """{s: the target quantiles of scale s} for the distinct ``scales``, each unit on
-    a `threads` worker.  Five anchors, the smallest, the three quartiles and the
-    largest scale, are solved cold; the other scales start from the quartic
-    through them, in blocks of _SCALE_BLOCK scales in sorted order, one
-    vectorized solve each.  So their quantiles depend on the anchors, but not on
-    `threads`, on the blocks or on what the process solved before."""
-    distinct = sorted(set(scales))
-    anchors = distinct if len(distinct) <= 5 else [distinct[(len(distinct) - 1) * k // 4]
-                                                   for k in range(5)]
-    rest = [s for s in distinct if s not in anchors]
-    blocks = [rest[i:i + _SCALE_BLOCK] for i in range(0, len(rest), _SCALE_BLOCK)]
-    solved = dict(zip(anchors, map_ordered(
-        threads, lambda s: lognormal.vol_model_quantiles(grid, s), anchors)))
-    for block, rows in zip(blocks, map_ordered(
-            threads, lambda b: lognormal.vol_model_quantiles(grid, b, anchors), blocks)):
-        solved.update(zip(block, rows))
-    return solved
+    return lognormal.vol_model_quantiles(grid, [math.sqrt(v) for v in s2], config.threads)
 
 
 @one_blas_thread()
@@ -597,7 +589,7 @@ def run_pipeline(config):
     Idempotent for a fixed config.
     """
     outdir = config.outdir
-    os.makedirs(outdir, exist_ok=True)
+    make_outdir(outdir)
     psi = None
     if config.model == "empirical":
         panel = load_panel(config)
@@ -625,7 +617,7 @@ def reproduce(which, config):
         raise ConfigError(f"unknown experiment {which!r} (use one of {sorted(PRESETS)})")
     config = replace(config, model=PRESETS[which]["model"])
     outdir = config.outdir
-    os.makedirs(outdir, exist_ok=True)
+    make_outdir(outdir)
     panel = generate_panel(config, outdir=outdir)
     spectrum = diagonalize(build_kernel(config, outdir=outdir))
     iid_spectrum = diagonalize(build_kernel(replace(config, model="iid")))

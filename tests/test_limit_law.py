@@ -411,6 +411,39 @@ def test_panel_pass_is_each_series_alone(m, pairs, k, n, seed, digits):
         assert results == [run_gof_test(x, qj, law_ks, law_cm) for x, qj in zip(panel.T, q)]
 
 
+# few distinct values, so that observations tie with each other and with quantiles
+_TIED = st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 12), k=st.integers(1, 4), n=st.integers(2, 30),
+       pairs=st.integers(1, 3))
+def test_gof_results_are_valid_p_values_that_follow_their_columns(data, m, k, n, pairs):
+    q = np.sort(np.array(data.draw(st.lists(_TIED, min_size=k * m, max_size=k * m)))
+                .reshape(k, m), axis=1)
+    panel = np.array(data.draw(st.lists(_TIED, min_size=n * k, max_size=n * k))).reshape(n, k)
+    stub = [(_dist("ks", [1.0], m), _dist("cm", [1.0], m))]
+    stats = [(r.ks_stat, r.cm_stat) for r in run_gof_tests(panel, q, stub)[0]]
+
+    def law(kind, of_panel):   # some samples equal to the panel's statistics
+        drawn = st.lists(st.sampled_from(of_panel) | st.floats(0.0, 20.0), min_size=1, max_size=25)
+        return _dist(kind, data.draw(drawn), m)
+
+    laws = [(law("ks", [ks for ks, _ in stats]), law("cm", [cm for _, cm in stats]))
+            for _ in range(pairs)]
+    results = run_gof_tests(panel, q, laws)
+    for (law_ks, law_cm), column_results in zip(laws, results):
+        for r in column_results:
+            for stat, p, dist in ((r.ks_stat, r.ks_p, law_ks), (r.cm_stat, r.cm_p, law_cm)):
+                above = sum(1 for v in dist.samples.tolist() if v >= stat)
+                assert 0.0 < p <= 1.0
+                assert p == (above + 1) / (dist.n_trials + 1)
+            assert 0.0 <= r.cm_stat <= r.ks_stat ** 2
+    order = data.draw(st.permutations(range(k)))
+    assert run_gof_tests(panel[:, order], q[order], laws) == [
+        [column_results[j] for j in order] for column_results in results]
+
+
 def test_reduction_ratio(grid):
     spec = eigendecompose(brownian_bridge_kernel(grid))
     iid_ks, iid_cm = simulate_statistic_distribution(spec, 50_000, seed=59)

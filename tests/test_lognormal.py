@@ -255,33 +255,32 @@ def test_quantile_solve_checks_levels_and_fails_loudly(monkeypatch):
 @pytest.mark.parametrize("m", [15, 51, 100])
 def test_each_row_of_a_block_solve_is_its_scales_own(m):
     grid = QuantileGrid(m)
-    anchors = (0.46, 0.465, 0.47, 0.475, 0.48)
-    # the last scale lies far from the anchors and takes more Newton steps
-    block = [0.4612, 0.4687, 0.4733, 1.5]
-    rows = vol_model_quantiles(grid, block, anchors)
+    rule = lognormal._hermite(lognormal.DEFAULT_QUADRATURE_NODES)
+    # every row starts from the quantiles of s = 0.47; the last scale lies far
+    # from it and takes more Newton steps
+    block = np.array([0.4612, 0.4687, 0.4733, 1.5])
+    start = np.tile(get_basis(0.47).quantiles(grid), (4, 1))
+    rows = lognormal._solve_quantiles(block, grid.points, *rule, start)
     assert rows.shape == (4, m)
-    for s, row in zip(block, rows):
-        assert row.tobytes() == vol_model_quantiles(grid, s, anchors).tobytes(), s
-    # without anchors, each row is the shared basis's cached solve
-    assert vol_model_quantiles(grid, block)[1].tobytes() == vol_model_quantiles(
+    for i, s in enumerate(block):
+        alone = lognormal._solve_quantiles(block[i:i + 1], grid.points, *rule, start[i:i + 1])
+        assert rows[i].tobytes() == alone[0].tobytes(), s
+    # of up to five scales, each row is the shared basis's cached solve
+    assert vol_model_quantiles(grid, list(block))[1].tobytes() == vol_model_quantiles(
         grid, block[1]).tobytes()
 
 
 def test_quantile_start_mirrors_with_the_levels(monkeypatch):
-    basis = LogNormalVolBasis(0.8)
-    u = QuantileGrid(51).points
-    cold = basis.quantile(u)
-    for bad in (cold[:-1], np.where(u > 0.9, np.nan, cold), np.inf):
-        with pytest.raises(ParameterError, match="start"):
-            basis.quantile(u, bad)
-    # a start at the quantiles, upper half included, converges in two steps;
-    # the Gaussian start needs more
+    # the warm solves of clustered scales start at the quartic through the anchors'
+    # quantiles, the upper-half levels mirrored with their starts, and converge in
+    # two Newton steps; a cold solve from the Gaussian start needs more
+    grid = QuantileGrid(51)
+    scales = list(0.8 * (1.0 + np.linspace(-2e-3, 2e-3, 9)))
+    before = vol_model_quantiles(grid, scales)   # solves the anchors into the cache
     monkeypatch.setattr(lognormal, "_NEWTON_STEPS", 2)
-    warm = basis.quantile(u, cold * (1.0 + 1e-7))
-    assert np.all(np.abs(warm - cold) <= 1e-13 + 4e-16 * np.abs(cold))
-    assert basis.quantile(u[45], float(cold[45])) == pytest.approx(cold[45], rel=1e-15)
+    assert vol_model_quantiles(grid, scales).tobytes() == before.tobytes()
     with pytest.raises(NumericalError):
-        basis.quantile(u)
+        LogNormalVolBasis(scales[1]).quantile(grid.points)
 
 
 def _two_sided_bracket_quantile(basis, u):

@@ -11,15 +11,16 @@ import sys
 import types
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from functools import partial
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.stats import norm
 
 import depgof
 from depgof import (
@@ -42,7 +43,6 @@ from depgof.cli import main
 from depgof.limit_law import _chunk_rng
 from depgof.lognormal import LogNormalVolBasis
 from depgof.runner import (
-    _scale_quantiles,
     _target_quantiles,
     _write_csv,
     build_kernel,
@@ -215,6 +215,35 @@ def test_config_hash_inside_a_value_is_kept(tmp_path):
     cfg = _write(tmp_path, "hash.cfg", f"model=iid\nn=100\nreplications=3\noutdir={out}\n")
     assert main(["generate", "-c", cfg, "--seed", "1"]) == 0
     assert os.listdir(tmp_path / "exp#2") == ["panel.csv"]
+
+
+def test_config_key_set_twice_is_refused(tmp_path, capsys):
+    # the last line used to win silently: n = 200, then n = 300, gave n = 300
+    with pytest.raises(ConfigError, match="line 4: key 'n' is set again; line 1 set it first"):
+        parse_config_text("n = 200\nmodel = ar1\n# n = 250\nn = 300\n")
+    assert parse_config_text("n = 300\n", preset={"n": 1500}).n == 300   # a preset gives way
+    out = tmp_path / "twice"
+    cfg = _write(tmp_path, "twice.cfg", f"seed = 1\nreplications=3\nseed=2\noutdir={out}\n")
+    assert main(["generate", "-c", cfg, "--seed", "1"]) == 2
+    assert "line 3: key 'seed' is set again; line 1 set it first" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_outdir_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    # each entry made the outdir with os.makedirs, whose FileExistsError ended in a
+    # traceback (exit 1)
+    taken = _write(tmp_path, "taken", "a file\n")
+    cfg = _write(tmp_path, "taken.cfg", f"n=100\nreplications=3\ngrid_m=10\nn_trials=1000\n"
+                 f"outdir={taken}\n")
+    for argv in (["generate", "-c", cfg, "--seed", "1"], ["pipeline", "-c", cfg],
+                 ["reproduce", "fig2", "-c", cfg]):
+        assert main(argv) == 2, argv
+        assert f"configuration error: outdir {taken}: " in capsys.readouterr().err
+    config = parse_config_text(Path(cfg).read_text(encoding="utf-8"))
+    for run in (partial(run_pipeline, config), partial(reproduce, "fig2", config)):
+        with pytest.raises(ConfigError, match=f"outdir {taken}: cannot make the directory"):
+            run()
+    assert Path(taken).read_text(encoding="utf-8") == "a file\n"
 
 
 def test_matrix_artifact_roundtrip(tmp_path):
@@ -1064,10 +1093,11 @@ _spread = st.lists(st.floats(0.0, 3.5), min_size=4, max_size=8)
 @example(scales=[0.0, 0.5, 1.5, 2.7, 3.1068371422561745, 3.5], m=100)
 def test_anchored_scale_quantiles(scales, m):
     grid = QuantileGrid(m)
-    solved = _scale_quantiles(grid, scales, threads=2)
+    rows = vol_model_quantiles(grid, scales, threads=2)
     anchors = _anchors(scales)
-    assert sorted(solved) == sorted(set(scales))
-    for s, q in solved.items():
+    assert rows.shape == (len(scales), m)
+    assert rows.tobytes() == vol_model_quantiles(grid, scales[::-1], threads=1)[::-1].tobytes()
+    for s, q in zip(scales, rows):
         assert np.all(np.diff(q) >= 0.0), s
         if s in anchors:
             assert q.tobytes() == vol_model_quantiles(grid, s).tobytes(), s
@@ -1120,14 +1150,42 @@ def test_one_column_empirical_panel_needs_target_s2(tmp_path, capsys):
     assert main(["pipeline", "-c", normal]) == 0
 
 
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _exact_ndtri(u):
+    """Phi^{-1} of the float u to about 45 digits: Newton steps from the standard
+    library's quantile on the Taylor series Phi(x) = 1/2 + phi(x) (x + x^3/3 +
+    x^5/(3 5) + ...), whose terms all have the sign of x."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        level, tiny = Decimal(u), Decimal(10) ** -48
+        x = Decimal(NormalDist().inv_cdf(u))
+        while True:
+            density = (-x * x / 2).exp() / (2 * _PI).sqrt()
+            term = total = x
+            k = 1
+            while abs(term) > tiny:
+                term *= x * x / (2 * k + 1)
+                total += term
+                k += 1
+            step = (Decimal("0.5") + density * total - level) / density
+            x -= step
+            if abs(step) < Decimal(10) ** -45:
+                return x
+
+
 @pytest.mark.parametrize("m", [10, 15, 99, 100, 256, 599])
 def test_gaussian_target_quantiles_are_norm_ppf(m):
-    # at target_s2 = 0 the volatility marginal is the standard normal
+    # at target_s2 = 0 the volatility marginal is the standard normal; the
+    # reference is the exact quantile of each float level (scipy's norm.ppf is
+    # itself 6.7e-16 off at u = 0.90099)
     panel = PanelData(names=["a", "b"], values=np.zeros((5, 2)))
     config = PipelineConfig(model="empirical", target_s2=0.0, grid_m=m)
-    expected = norm.ppf(QuantileGrid(m).points)
+    exact = [_exact_ndtri(u) for u in QuantileGrid(m).points.tolist()]
     for q in _target_quantiles(config, panel):
-        assert_allclose(q, expected, rtol=0.0, atol=1e-15)
+        errors = [abs(Decimal(v) - e) for v, e in zip(q.tolist(), exact)]
+        assert max(errors) <= Decimal("1e-15"), float(max(errors))
 
 
 # Runs in a fresh interpreter: depgof, a tiny fig2 and a tiny empirical verb
