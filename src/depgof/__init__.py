@@ -76,7 +76,6 @@ from .sampling import (
     ar1_alpha,
     calibrate_volvol,
     fgn_alpha,
-    fgn_covariance,
     gen_ar1_logvol,
     gen_fgn_logvol,
     gen_iid_lognormal_vol,

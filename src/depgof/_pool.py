@@ -2,13 +2,12 @@
 
 numpy's OpenBLAS starts threads of its own for each matrix product and
 factorization.  Inside ``one_blas_thread()`` it runs on one thread: every
-public ``runner`` stage, the FGN synthesis of ``sampling`` and every
-``map_ordered`` pool run there.  So a pool of T workers runs T compute
-threads, not T times OpenBLAS's count; OpenBLAS's helpers are not woken
-to spin beside the workers after an ``eigh``; and a Cholesky factor or a
-matrix-vector product, whose bits depend on the thread count, comes out as
-on a one-thread host.  The count the outermost pin found is restored when
-the last one ends, on an exception too.  The library is looked up on the
+public ``runner`` stage and every ``map_ordered`` pool run there.  So a
+pool of T workers runs T compute threads, not T times OpenBLAS's count;
+OpenBLAS's helpers are not woken to spin beside the workers after an
+``eigh``; and a product whose bits would depend on the thread count comes
+out as on a one-thread host.  The count the outermost pin found is restored
+when the last one ends, on an exception too.  The library is looked up on the
 first pin, not at import; where numpy has no OpenBLAS of its own (an MKL
 or Accelerate build), nothing is pinned.
 """

@@ -28,7 +28,7 @@ from .grid import QuantileGrid
 from .sampling import as_series
 
 _CHUNK = 16_384
-_BLOCK = _CHUNK // 2   # rows per matrix product; smaller blocks make slower threaded gemms
+_BLOCK = _CHUNK // 2   # rows per matrix product: bounds each worker's z and y (13 MB at m = 100)
 
 
 @dataclass(frozen=True)

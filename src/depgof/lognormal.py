@@ -66,16 +66,19 @@ def _hermite(nodes):
 
 def _solve_quantiles(scales, u, omega, weights, start=None):
     """F_s^{-1}(u) of the levels u in (0, 1) for each scale s, one row per scale,
-    by Newton steps from ``start`` (one finite row per scale; by default Acklam's
-    Gaussian quantile, F^{-1} at s = 0) kept inside a bracket (a step that leaves
-    it bisects it).  A level above 1/2 is solved as -F^{-1}(1 - u), where the CDF
-    has relative resolution.  A row is done when, at each of its levels, a step
+    by Newton steps from ``start`` (one row per scale; a row that is not finite,
+    and by default every row, starts cold, from Acklam's Gaussian quantile,
+    F^{-1} at s = 0) kept inside a bracket (a step that leaves it bisects it).
+    A level above 1/2 is solved as -F^{-1}(1 - u), where the CDF has relative
+    resolution.  A row is done when, at each of its levels, a step
     or the bracket is below 1e-13; a step reads the CDF and the density off one
     set of quadrature points.  Each row's arithmetic is its own, so a row comes
     out the same whatever rows are solved with it."""
     sign = np.where(u > 0.5, -1.0, 1.0)
     u = np.where(u > 0.5, 1.0 - u, u)
-    start = np.tile(ndtri_start(u), (len(scales), 1)) if start is None else sign * start
+    cold = np.tile(ndtri_start(u), (len(scales), 1))
+    start = cold if start is None else np.where(
+        np.isfinite(start).all(axis=1, keepdims=True), sign * start, cold)
     scale = np.exp(-scales[:, None] * omega)[:, None, :]       # (rows, 1, nodes)
     # every hi > 0 has F(hi) >= F(0) = 1/2 >= u, so only lo may need widening;
     # the levels share few lo values, and each row's CDF is read once at each
@@ -214,9 +217,11 @@ def vol_model_quantiles(grid, s, threads=1):
     blocks = [rest[i:i + _SCALE_BLOCK] for i in range(0, len(rest), _SCALE_BLOCK)]
 
     def warm(block):
-        start = np.array([sum(get_basis(a).quantiles(grid)
-                              * math.prod((v - b) / (a - b) for b in anchors if b != a)
-                              for a in anchors) for v in block])
+        # anchors a subnormal distance apart overflow a weight: that row starts cold
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = np.array([sum(get_basis(a).quantiles(grid)
+                                  * math.prod((v - b) / (a - b) for b in anchors if b != a)
+                                  for a in anchors) for v in block])
         shrink = np.array([[math.exp(-v * v)] for v in block])
         return _solve_quantiles(np.array(block), grid.points,
                                 *_hermite(DEFAULT_QUADRATURE_NODES), start) * shrink

@@ -31,8 +31,8 @@ the scales it solves cold), each mapped by ``_pool.map_ordered``.  Each
 unit's arithmetic does not depend on ``threads``, and its results are
 combined in a fixed order, so it changes no result.  Every public stage
 and chain runs inside ``_pool.one_blas_thread()``, so the BLAS calls it
-makes (the kernel's ``eigh``, the FGN Cholesky factor and products) run on
-one OpenBLAS thread and give a one-thread host's bits on any host.  All
+makes (the kernel's ``eigh``, the law draw's products) run on one OpenBLAS
+thread and give a one-thread host's bits on any host.  All
 stages are deterministic given the config and seed.
 """
 
@@ -442,11 +442,7 @@ def generate_panel(config, outdir=None):
     reps, n = config.replications, config.n
     seeds = [np.random.SeedSequence(entropy=config.seed, spawn_key=(_PANEL_STREAM, j))
              for j in range(reps)]
-    if config.model == "ar1":   # one recursion over every column
-        values = generate(params, n, seeds)
-    else:
-        values = np.column_stack([generate(params, n, seed) for seed in seeds])
-    panel = PanelData(names=[f"s{j:04d}" for j in range(reps)], values=values)
+    panel = PanelData(names=[f"s{j:04d}" for j in range(reps)], values=generate(params, n, seeds))
     if outdir:
         _write_csv(os.path.join(outdir, "panel.csv"), ",".join(panel.names), panel.values)
     return panel

@@ -8,25 +8,27 @@ which is normalized so that E[X_n] = 0 and E[X_n^2] = 1 exactly.  They
 differ in the dynamics of the log-volatility omega:
 
 * AR(1): omega_{n+1} = g omega_n + Sigma eta_n (short memory),
-* fractional Gaussian noise with Hurst index (2-nu)/2 (long memory),
+* fractional Gaussian noise with Hurst index (2-nu)/2 (long memory), drawn
+  exactly by circulant embedding: one rfft gives the embedding's
+  eigenvalues, a negative one is refused with a NumericalError, and one
+  irfft turns every column's random spectrum into its log-vols,
 * iid omega (no memory; the plain log-normal stochastic-vol model).
 
 All generators are deterministic functions of (params, n, seed).  Random
 numbers come from numpy's PCG64 via ``np.random.default_rng(seed)``;
 distinct seeds give independent streams, so callers may fan trials out
-across workers by seed without further coordination.
+across workers by seed without further coordination.  Each generator also
+takes a list or tuple of k seeds and returns an (n, k) panel whose column j
+is, bit for bit, the series of seed j: each column's stream draws its
+log-vol normals first, then its n normals xi.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._pool import one_blas_thread
 from .errors import NumericalError, ParameterError
-
-_CHOL_JITTER = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,26 @@ def as_series(values):
     return x
 
 
+def _normals(seed, count):
+    """(count, k) standard normals whose column j is the first ``count`` draws of
+    the PCG64 stream of seed j, of the k seeds of a list or tuple, else of the one."""
+    seeds = seed if isinstance(seed, (list, tuple)) else [seed]
+    z = np.empty((count, len(seeds)))
+    for j, s in enumerate(seeds):
+        z[:, j] = np.random.default_rng(s).standard_normal(count)
+    return z
+
+
+def _series(omega, v, xi, seed, return_logvol):
+    """X = xi exp(omega - v) over every column; a single seed's column comes back 1-D."""
+    x = np.subtract(omega, v)
+    np.exp(x, out=x)
+    x *= xi
+    if not isinstance(seed, (list, tuple)):
+        x, omega = x[:, 0], omega[:, 0]
+    return (x, omega) if return_logvol else x
+
+
 def ar1_alpha(params, t):
     """Analytic log-vol autocovariance alpha_t = Sigma^2 g^t / (1 - g^2)."""
     t = np.asarray(t)
@@ -121,8 +143,6 @@ def gen_ar1_logvol(params, n, seed, return_logvol=False):
         Series length, >= 2.
     seed : int, numpy.random.SeedSequence, or a list or tuple of them
         PCG64 stream seed; identical inputs give bitwise-identical output.
-        A sequence of k seeds gives an (n, k) panel whose column j is the
-        series of seed j.
     return_logvol : bool
         Also return the latent omega path, which no stage reads: it is kept
         so that tests can check the log-vol law the series is built from.
@@ -136,24 +156,16 @@ def gen_ar1_logvol(params, n, seed, return_logvol=False):
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
-    panel = isinstance(seed, (list, tuple))
-    rngs = [np.random.default_rng(s) for s in (seed if panel else [seed])]
     v = params.stationary_var
-    omega, xi = np.empty((n, len(rngs))), np.empty((n, len(rngs)))
-    for j, rng in enumerate(rngs):
-        omega[0, j] = rng.standard_normal() * np.sqrt(v)
-        omega[1:, j] = rng.standard_normal(n - 1) * np.sqrt(params.sigma2)
-        xi[:, j] = rng.standard_normal(n)
+    z = _normals(seed, 2 * n)
+    omega, xi = z[:n], z[n:]
+    omega[0] *= np.sqrt(v)
+    omega[1:] *= np.sqrt(params.sigma2)
     g = params.g
     steps = list(omega)   # row views, one per time step
     for prev, row in zip(steps, steps[1:]):
         row += g * prev
-    x = np.subtract(omega, v)
-    np.exp(x, out=x)
-    x *= xi
-    if not panel:
-        x, omega = x[:, 0], omega[:, 0]
-    return (x, omega) if return_logvol else x
+    return _series(omega, v, xi, seed, return_logvol)
 
 
 def fgn_alpha(params, t):
@@ -170,62 +182,47 @@ def fgn_alpha(params, t):
     return 0.5 * params.sigma2 * ((t + 1.0) ** e - 2.0 * t ** e + np.abs(t - 1.0) ** e)
 
 
-def fgn_covariance(params, n):
-    """Exact n x n Toeplitz covariance matrix of the log-vol vector."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got n={n}")
-    row = fgn_alpha(params, np.arange(n))
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return row[idx]
-
-
-@lru_cache(maxsize=4)
-def _fgn_factor(params, n):
-    # cached: panels draw many series from one (params, n) configuration
-    cov = fgn_covariance(params, n)
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        try:
-            factor = np.linalg.cholesky(cov + _CHOL_JITTER * np.eye(n))
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                "fractional-noise covariance is not positive definite even after "
-                f"adding {_CHOL_JITTER} to the diagonal (nu={params.nu}, n={n})"
-            ) from None
-    factor.flags.writeable = False
-    return factor
-
-
-@one_blas_thread()
 def gen_fgn_logvol(params, n, seed, return_logvol=False):
     """Simulate X_n = xi_n exp(omega_n - Sigma^2) with long-memory log-vols.
 
-    The omega vector is exactly Gaussian with the fgn_covariance matrix,
-    synthesized by lower-triangular factorization (exact at desk scale,
-    n <= a few thousand; circulant embedding would only be an optimization).
-    The Cholesky factor and its product with the normals round differently
-    on each OpenBLAS thread count, so both run at one thread: the series
-    are the bits of a one-thread host on any host.
-    ``return_logvol`` also returns omega, for the tests, as in gen_ar1_logvol.
+    omega is exactly Gaussian with autocovariance fgn_alpha, drawn by circulant
+    embedding (Davies & Harte 1987; Wood & Chan 1994): the row
+    alpha_0 .. alpha_{n-1}, alpha_{n-2} .. alpha_1 of length M = 2n - 2 is the
+    first row of a circulant matrix whose eigenvalues are its rfft.  An
+    eigenvalue below zero is refused with a NumericalError naming the smallest,
+    never clipped: all are positive (0.374 at nu = 0.4) but where alpha_t
+    rounds badly, at nu near 0 and large n (nu = 1e-6 at n = 10^4).  Each
+    column's own ``default_rng(seed)`` draws a (2, M/2 + 1) block of normals,
+    the real and imaginary parts of its spectrum (the zero and Nyquist terms
+    are real), then its n normals xi; one irfft along axis 0 turns the whole
+    panel's spectra into log-vols, of which the first n rows are kept.
+    ``seed`` and ``return_logvol`` are as in gen_ar1_logvol.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
-    factor = _fgn_factor(params, n)
-    rng = np.random.default_rng(seed)
-    omega = factor @ rng.standard_normal(n)
-    x = rng.standard_normal(n) * np.exp(omega - params.sigma2)
-    return (x, omega) if return_logvol else x
+    row = fgn_alpha(params, np.arange(n))
+    eig = np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real   # M/2 + 1 = n of them
+    if eig.min() < 0.0:
+        raise NumericalError(
+            "the circulant embedding of the fractional-noise covariance is not positive "
+            f"semidefinite: smallest eigenvalue {eig.min():.6g} (nu={params.nu}, n={n})")
+    m = 2 * n - 2
+    amp = np.sqrt(eig * (m / 2.0))   # irfft divides by M and counts interior terms twice
+    amp[[0, -1]] *= np.sqrt(2.0)
+    z = _normals(seed, 3 * n)
+    spectrum = z[:2 * n].reshape(2, n, -1) * amp[:, None]
+    spectrum[1, [0, -1]] = 0.0
+    omega = np.fft.irfft(spectrum[0] + 1j * spectrum[1], m, axis=0)[:n]
+    return _series(omega, params.sigma2, z[2 * n:], seed, return_logvol)
 
 
 def gen_iid_lognormal_vol(params, n, seed):
-    """Simulate iid X = exp(s w - s^2) xi with w, xi iid N(0,1)."""
+    """Simulate iid X = exp(s w - s^2) xi with w, xi iid N(0,1); each seed's
+    stream draws its n normals w, then its n normals xi."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got n={n}")
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(n)
-    xi = rng.standard_normal(n)
-    return xi * np.exp(params.s * w - params.s ** 2)
+    z = _normals(seed, 2 * n)
+    return _series(params.s * z[:n], params.s ** 2, z[n:], seed, False)
 
 
 def calibrate_volvol(series):

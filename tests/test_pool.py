@@ -6,7 +6,7 @@ import pytest
 
 from depgof import (Ar1LogVolParams, FgnLogVolParams, PipelineConfig, QuantileGrid,
                     build_kernel_ar1, eigendecompose, gen_fgn_logvol)
-from depgof import _pool, sampling
+from depgof import _pool
 from depgof._pool import map_ordered, one_blas_thread
 from depgof.limit_law import simulate_statistic_distribution
 from depgof.runner import generate_panel
@@ -101,15 +101,12 @@ def test_law_samples_do_not_depend_on_the_pin(monkeypatch, threads):
 
 
 def test_fgn_bits_do_not_depend_on_openblas_threads(blas):
-    # at n = 1500 both the Cholesky factor and its product with the normals
-    # round differently on two OpenBLAS threads than on one
+    # the FFT draw calls no BLAS: two OpenBLAS threads must give one thread's bits
     params = FgnLogVolParams(0.4, 1.0)
     config = PipelineConfig(model="fgn", n=1500, replications=2, seed=11, threads=2)
 
     def draw():
-        sampling._fgn_factor.cache_clear()
         x, omega = gen_fgn_logvol(params, 1500, 11, return_logvol=True)
-        sampling._fgn_factor.cache_clear()
         return x.tobytes(), omega.tobytes(), generate_panel(config).values.tobytes()
 
     at_two = draw()

@@ -8,6 +8,7 @@ from scipy.signal import lfilter
 from depgof import (
     Ar1LogVolParams,
     FgnLogVolParams,
+    NumericalError,
     ParameterError,
     PipelineConfig,
     QuantileGrid,
@@ -15,11 +16,11 @@ from depgof import (
     ar1_alpha,
     calibrate_volvol,
     fgn_alpha,
-    fgn_covariance,
     gen_ar1_logvol,
     gen_fgn_logvol,
     gen_iid_lognormal_vol,
 )
+from depgof import sampling
 from depgof.copulas import self_copula_at_lag
 from depgof.runner import generate_panel
 
@@ -166,23 +167,46 @@ def test_fgn_alpha_power_law_tail():
     assert abs(fgn_alpha(FGN, t) / asym - 1) < 0.01
 
 
-def test_fgn_covariance_matches_formula():
-    cov = fgn_covariance(FGN, 64)
-    lags = np.abs(np.subtract.outer(np.arange(64), np.arange(64)))
-    assert np.abs(cov - fgn_alpha(FGN, lags)).max() < 1e-12
-    assert np.array_equal(cov, cov.T)
-
-
 def test_fgn_sample_covariance():
+    # every lag up to n - 1, over every pair of times: the lags past n/2 are where
+    # the embedded row of length 2n - 2 wraps around
     reps, n = 10_000, 8
-    oms = np.empty((reps, n))
-    for r in range(reps):
-        _, om = gen_fgn_logvol(FGN, n, seed=500 + r, return_logvol=True)
-        oms[r] = om
-    for lag in range(6):
-        prods = oms[:, 0] * oms[:, lag]
+    _, oms = gen_fgn_logvol(FGN, n, [500 + r for r in range(reps)], return_logvol=True)
+    for lag in range(n):
+        prods = (oms[:n - lag] * oms[lag:]).mean(axis=0)
         se = prods.std(ddof=1) / np.sqrt(reps)
         assert abs(prods.mean() - fgn_alpha(FGN, lag)) < 3 * se, f"lag {lag}"
+
+
+def test_fgn_embedding_refuses_a_row_that_is_not_positive_definite(monkeypatch):
+    # alpha = (1, -0.2, -0.9) embeds as (1, -0.2, -0.9, -0.2), whose eigenvalues
+    # are -0.3, 1.9 and 0.5: the draw is refused, not clipped
+    monkeypatch.setattr(sampling, "fgn_alpha", lambda params, t: np.array([1.0, -0.2, -0.9]))
+    with pytest.raises(NumericalError, match=r"smallest eigenvalue -0\.3 "):
+        gen_fgn_logvol(FGN, 3, seed=0)
+
+
+_GENERATORS = {"ar1": (gen_ar1_logvol, AR1), "fgn": (gen_fgn_logvol, FGN),
+               "iid": (gen_iid_lognormal_vol, StochasticVolParams(0.5))}
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("model", sorted(_GENERATORS))
+def test_panel_column_is_its_seeds_series(model, k):
+    gen, params = _GENERATORS[model]
+    n = 301
+    seeds = [np.random.SeedSequence(entropy=77, spawn_key=(1, j)) for j in range(k)]
+    x = gen(params, n, seeds)
+    assert x.shape == (n, k)
+    for j in range(k):
+        assert x[:, j].tobytes() == gen(params, n, seeds[j]).tobytes(), j
+    if model != "iid":
+        x_l, omega = gen(params, n, seeds, return_logvol=True)
+        assert x_l.tobytes() == x.tobytes()
+        for j in range(k):
+            x_j, omega_j = gen(params, n, seeds[j], return_logvol=True)
+            assert x_l[:, j].tobytes() == x_j.tobytes(), j
+            assert omega[:, j].tobytes() == omega_j.tobytes(), j
 
 
 def test_fgn_determinism():
