@@ -14,17 +14,20 @@ The lag-summed relative excess
 multiplies the Brownian-bridge covariance to give the limiting covariance
 kernel of the empirical-CDF bridge for dependent data.
 
-A panel is estimated in one pass per lag, not series by series.
-rank_panel gives each series one stable argsort, whose (value, position)
-order is that of ordinal ranks.  At lag t the ranks of X[:-t] and X[t:]
-are running counts of the positions each keeps along that order (O(N)
-per series), a table built once per lag maps rank to grid bin, and one
-np.bincount counts the (bin, bin) pairs of every series of a block.  The
-bias correction and Frechet clip, also built once per lag, then act on
-each series' surface, and
-the mean adds the surfaces in panel order, so it is bitwise the mean of
-the per-series empirical_copula estimates.  psi_accumulate reduces in
-ascending-lag order.
+A panel is estimated in one pass per lag, not series by series: its
+lag-t self-copula is the bias-corrected copula of the pair counts pooled
+over the series.  rank_panel gives each series one stable argsort, whose
+(value, position) order is that of ordinal ranks.  At lag t the ranks of
+X[:-t] and X[t:] are running counts of the positions each keeps along that
+order (O(N) per series), a table built once per lag maps rank to grid bin,
+and np.bincount adds the (bin, bin) pairs of every series into one integer
+count table.  Integer sums are exact, so the order of the series cannot
+change it.  The bias correction and the Frechet clip then act once per lag.
+Before the clip the surface is the mean of the per-series
+empirical_copula(..., clip_frechet=False) estimates up to rounding, and so
+unbiased under independence; a one-series panel gives self_copula_at_lag
+bit for bit.
+psi_accumulate reduces in ascending-lag order.
 """
 
 from dataclasses import dataclass
@@ -133,7 +136,7 @@ def _bias_factor(n, grid):
 
 
 def _corrected_surfaces(counts, n, bias, bounds=None):
-    """Bias-corrected copula values from bin counts of shape (..., m+1, m+1):
+    """Bias-corrected copula values from (m+1, m+1) bin counts of n pairs:
     the cumulated counts over n times the ``bias`` factor, clipped into the
     Frechet ``bounds`` (lower, upper) unless they are None.
 
@@ -141,8 +144,8 @@ def _corrected_surfaces(counts, n, bias, bounds=None):
     give the same bits.
     """
     m = bias.shape[0]
-    below = counts[..., :m, :m].cumsum(axis=-2)
-    values = np.cumsum(below, axis=-1, out=below) / n
+    below = counts[:m, :m].cumsum(axis=0)
+    values = np.cumsum(below, axis=1, out=below) / n
     values *= bias
     if bounds is not None:
         np.clip(values, *bounds, out=values)
@@ -155,7 +158,7 @@ def self_copula_at_lag(series, t, grid):
     C_t(u,v) is not symmetric in (u,v) in general: conditioning on the past
     differs from conditioning on the future whenever the dynamics are
     asymmetric (leverage).  No stage calls it: it is the per-series reference
-    that average_self_copula is tested bitwise against.
+    that a one-series average_self_copula is tested bitwise against.
     """
     x = np.asarray(series, dtype=float)
     if t < 1:
@@ -210,18 +213,20 @@ def _sort_once(x, what):
     return order, slot
 
 
-# Series per counting pass.  It bounds the (block, m+1, m+1) count and
-# surface arrays; the surfaces are added one by one in panel order, so the
-# mean does not depend on it.
+# Series per counting pass.  It bounds the (block, N) rank and cell arrays;
+# the counts are integers, so the result does not depend on it.
 _BLOCK = 8
 
 
 def average_self_copula(panel, t, grid):
-    """Entrywise mean over a panel of its series' lag-t self-copulas.
+    """Lag-t self-copula of a panel: the bias-corrected, Frechet-clipped copula
+    of the lag-t pairs of all its series, counted together.
 
-    ``panel`` is a RankedPanel, or anything rank_panel takes.  The mean is
-    bitwise that of self_copula_at_lag over the series, added in panel
-    order.
+    ``panel`` is a RankedPanel, or anything rank_panel takes.  Before the
+    clip the surface is the entrywise mean of the series' unclipped
+    self-copulas, up to rounding; the one clip acts on that mean.  One series gives
+    self_copula_at_lag bit for bit, and the bits do not depend on the order
+    of the series.
     """
     ranked = panel if isinstance(panel, RankedPanel) else rank_panel(panel)
     k, size = ranked.order.shape
@@ -235,24 +240,19 @@ def average_self_copula(panel, t, grid):
     n = size - t
     # grid bin of each rank 0..n: the first threshold >= rank, m = beyond the grid
     bins = np.searchsorted(copula_thresholds(n, grid), np.arange(n + 1), side="left")
-    bias, bounds = _bias_factor(n, grid), frechet_bounds(grid)   # once per lag
     side = grid.m + 1
-    acc = np.zeros((grid.m, grid.m))   # surfaces are >= +0, so 0 + first = first
+    counts = np.zeros(side * side, dtype=np.int64)
     for lo in range(0, k, _BLOCK):
         order = ranked.order[lo:lo + _BLOCK]
         slot = ranked.slot[lo:lo + _BLOCK]
+        rows = size * np.arange(order.shape[0])[:, None]   # flat start of each series
         # ordinal rank of x[i] in x[:-t] (of x[i+t] in x[t:]) = number of the
         # positions that sample keeps, up to x[i]'s place in the sorted order
-        bx = bins[np.take_along_axis(np.cumsum(order < n, axis=1), slot[:, :n], axis=1)]
-        by = bins[np.take_along_axis(np.cumsum(order >= t, axis=1), slot[:, t:], axis=1)]
-        block = order.shape[0]
-        cells = bx * side + by
-        cells += (side * side) * np.arange(block)[:, None]
-        counts = np.bincount(cells.ravel(), minlength=block * side * side)
-        surfaces = _corrected_surfaces(counts.reshape(block, side, side), n, bias, bounds)
-        for values in surfaces:
-            acc += values
-    return CopulaSurface(grid=grid, lag=t, values=acc / k)
+        cells = bins[np.cumsum(order < n, axis=1).ravel()[slot[:, :n] + rows]] * side
+        cells += bins[np.cumsum(order >= t, axis=1).ravel()[slot[:, t:] + rows]]
+        counts += np.bincount(cells.ravel(), minlength=side * side)
+    return CopulaSurface(grid=grid, lag=t, values=_corrected_surfaces(
+        counts.reshape(side, side), n * k, _bias_factor(n, grid), frechet_bounds(grid)))
 
 
 def psi_accumulate(surfaces, n):

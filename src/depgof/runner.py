@@ -450,7 +450,7 @@ def generate_panel(config, outdir=None):
 
 @one_blas_thread()
 def estimate_psi(panel, config, outdir=None):
-    """Average self-copulas over the panel for lags 1..t_max and accumulate Psi.
+    """Estimate the panel's self-copulas for lags 1..t_max and accumulate Psi.
 
     Copula surfaces are written for a geometric ladder of lags (1, 2, 4, ...)
     to keep artifact volume bounded; Psi always sums every lag.

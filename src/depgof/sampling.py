@@ -171,15 +171,20 @@ def gen_ar1_logvol(params, n, seed, return_logvol=False):
 def fgn_alpha(params, t):
     """Closed-form autocovariance of the fractional-Gaussian log-vols.
 
-    alpha_t = Sigma^2/2 * ((t+1)^(2-nu) - 2 t^(2-nu) + |t-1|^(2-nu)); the
+    alpha_t = Sigma^2/2 * ((t+1)^e - 2 t^e + |t-1|^e) with e = 2 - nu; the
     lag-0 value is Sigma^2 and the large-t behaviour is
-    Sigma^2 (2 - 3 nu + nu^2) t^(-nu) / 2.
+    Sigma^2 (2 - 3 nu + nu^2) t^(-nu) / 2.  That second difference cancels
+    terms of size t^2 down to about t^(-nu), so from t = 2 on it is formed
+    as t^e (expm1(e log1p(1/t)) + expm1(e log1p(-1/t))), which does not.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ParameterError("lag must be >= 0")
     e = 2.0 - params.nu
-    return 0.5 * params.sigma2 * ((t + 1.0) ** e - 2.0 * t ** e + np.abs(t - 1.0) ** e)
+    near = (t + 1.0) ** e - 2.0 * t ** e + np.abs(t - 1.0) ** e
+    far = np.maximum(t, 2.0)
+    far = far ** e * (np.expm1(e * np.log1p(1.0 / far)) + np.expm1(e * np.log1p(-1.0 / far)))
+    return 0.5 * params.sigma2 * np.where(t < 2.0, near, far)
 
 
 def gen_fgn_logvol(params, n, seed, return_logvol=False):
@@ -190,12 +195,12 @@ def gen_fgn_logvol(params, n, seed, return_logvol=False):
     alpha_0 .. alpha_{n-1}, alpha_{n-2} .. alpha_1 of length M = 2n - 2 is the
     first row of a circulant matrix whose eigenvalues are its rfft.  An
     eigenvalue below zero is refused with a NumericalError naming the smallest,
-    never clipped: all are positive (0.374 at nu = 0.4) but where alpha_t
-    rounds badly, at nu near 0 and large n (nu = 1e-6 at n = 10^4).  Each
-    column's own ``default_rng(seed)`` draws a (2, M/2 + 1) block of normals,
-    the real and imaginary parts of its spectrum (the zero and Nyquist terms
-    are real), then its n normals xi; one irfft along axis 0 turns the whole
-    panel's spectra into log-vols, of which the first n rows are kept.
+    never clipped: the smallest is 0.374 at nu = 0.4 and 8.5e-7 at nu = 1e-6
+    (both at n = 10^4).  Each column's own ``default_rng(seed)`` draws a
+    (2, M/2 + 1) block of normals, the real and imaginary parts of its
+    spectrum (the zero and Nyquist terms are real), then its n normals xi; one
+    irfft along axis 0 turns the whole panel's spectra into log-vols, of which
+    the first n rows are kept.
     ``seed`` and ``return_logvol`` are as in gen_ar1_logvol.
     """
     if n < 2:

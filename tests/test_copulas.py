@@ -188,13 +188,21 @@ def test_average_self_copula_basics(grid):
         average_self_copula([], 2, grid)
 
 
-def _sequential_mean(panel, t, grid):
-    """Mean of the per-pair estimates, added series by series in panel order."""
-    acc = None
+def _pooled_reference(panel, t, grid):
+    """The panel estimate from first principles: each pair's (bin, bin) counts
+    by ordinal rankdata and np.add.at, summed over the series, then corrected
+    and clipped once as n k pairs."""
+    n = panel.shape[1] - t
+    thresholds = copula_thresholds(n, grid)
+    total = np.zeros((grid.m + 1, grid.m + 1), dtype=np.int64)
     for x in panel:
-        values = empirical_copula(x[:-t], x[t:], grid).values
-        acc = values if acc is None else acc + values
-    return acc / len(panel)
+        bins = [np.searchsorted(thresholds, rankdata(s, method="ordinal"))
+                for s in (x[:-t], x[t:])]
+        counts = np.zeros_like(total)
+        np.add.at(counts, tuple(bins), 1)
+        total += counts
+    return copulas._corrected_surfaces(total, n * len(panel), copulas._bias_factor(n, grid),
+                                       frechet_bounds(grid))
 
 
 def _panel(k, size, seed, decimals):
@@ -211,13 +219,12 @@ def _panel(k, size, seed, decimals):
 @example(k=3, m=10, t=1, spare=0, decimals=0, seed=0)       # n - t = m + 1
 @example(k=2, m=20, t=5, spare=-3, decimals=1, seed=1)      # n - t = 3 (m + 1)
 @example(k=6, m=30, t=12, spare=-4, decimals=None, seed=2)  # n - t = 4 (m + 1)
-def test_panel_estimator_is_the_sequential_mean_of_pair_estimates(k, m, t, spare, decimals,
-                                                                   seed):
+def test_panel_estimator_is_the_copula_of_pooled_pair_counts(k, m, t, spare, decimals, seed):
     """``spare`` is the excess of n - t over m + 1, or -j for n - t = j (m + 1)."""
     grid = QuantileGrid(m)
     pairs = (m + 1) * -spare if spare < 0 else m + 1 + spare
     panel = _panel(k, pairs + t, seed, decimals)
-    expected = _sequential_mean(panel, t, grid)
+    expected = _pooled_reference(panel, t, grid)
     ranked = rank_panel(panel)
     assert ranked.order.dtype == ranked.slot.dtype == np.int32
     for given_as in (list(panel), panel, ranked):
@@ -226,13 +233,31 @@ def test_panel_estimator_is_the_sequential_mean_of_pair_estimates(k, m, t, spare
         assert surf.values.tobytes() == expected.tobytes()
 
 
-def test_panel_estimator_does_not_depend_on_the_block(monkeypatch):
+def test_panel_estimator_ignores_series_order_and_blocks(monkeypatch):
     grid = QuantileGrid(15)
     panel = _panel(2 * copulas._BLOCK + 3, 300, seed=12, decimals=1)
-    expected = _sequential_mean(panel, 7, grid)
+    expected = _pooled_reference(panel, 7, grid).tobytes()
+    for perm in (np.arange(len(panel))[::-1], np.random.default_rng(3).permutation(len(panel))):
+        assert average_self_copula(panel[perm], 7, grid).values.tobytes() == expected
     for block in (1, 5, copulas._BLOCK, 1000):
         monkeypatch.setattr(copulas, "_BLOCK", block)
-        assert average_self_copula(panel, 7, grid).values.tobytes() == expected.tobytes()
+        assert average_self_copula(panel, 7, grid).values.tobytes() == expected
+
+
+def test_panel_estimator_is_the_mean_of_unclipped_pair_estimates_where_the_clip_is_idle():
+    """Before its one clip the pooled surface is the mean of the per-series
+    unclipped estimates; the clip binds at some cells of this small panel."""
+    grid = QuantileGrid(20)
+    panel = _panel(7, 70, seed=5, decimals=None)
+    t = 3
+    mean = np.mean([empirical_copula(x[:-t], x[t:], grid, clip_frechet=False).values
+                    for x in panel], axis=0)
+    lower, upper = frechet_bounds(grid)
+    idle = (mean > lower) & (mean < upper)
+    assert 0 < (~idle).sum() and idle.any()
+    surf = average_self_copula(panel, t, grid).values
+    assert_allclose(surf[idle], mean[idle], rtol=1e-12, atol=0)
+    assert np.array_equal(surf[~idle], np.clip(mean, lower, upper)[~idle])
 
 
 @settings(max_examples=15, deadline=None)

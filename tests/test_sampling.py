@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -158,6 +160,31 @@ def test_fgn_alpha_values():
     # iid boundary: second difference of t^1 vanishes for t >= 1
     iid = FgnLogVolParams(nu=1.0, sigma2=1.0)
     assert_allclose(fgn_alpha(iid, np.arange(1, 10)), 0.0, atol=1e-12)
+
+
+def _fgn_alpha_60_digits(nu, t):
+    """alpha_t at sigma2 = 1 as the plain second difference, in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = 2 - Decimal(nu)
+        return np.array([float((Decimal(j + 1) ** e - 2 * Decimal(j) ** e
+                                + abs(Decimal(j - 1)) ** e) / 2) for j in t.tolist()])
+
+
+@pytest.mark.parametrize("nu", [1e-6, 0.4, 0.999])
+def test_fgn_alpha_does_not_cancel(nu):
+    """The second difference cancels terms of size t^2 down to about t^(-nu);
+    formed directly it is 1e-8 (nu = 0.4) to 3e-5 (nu = 0.999) off by t = 10^4."""
+    t = np.unique(np.concatenate([np.arange(60), np.geomspace(60, 10_000, 120).astype(int)]))
+    params = FgnLogVolParams(nu=nu, sigma2=1.0)
+    assert_allclose(fgn_alpha(params, t), _fgn_alpha_60_digits(nu, t), rtol=1e-8, atol=0)
+
+
+def test_fgn_draws_at_the_shortest_memory_and_a_long_series():
+    """At nu = 1e-6 and n = 10^4 the cancelling second difference gave the
+    embedding a negative eigenvalue (-1.5e-6), and the draw was refused."""
+    x = gen_fgn_logvol(FgnLogVolParams(nu=1e-6, sigma2=1.0), 10_000, seed=3)
+    assert x.shape == (10_000,) and np.isfinite(x).all()
 
 
 def test_fgn_alpha_power_law_tail():
