@@ -16,13 +16,13 @@ from depgof import (
     Ar1LogVolParams,
     QuantileGrid,
     ar1_alpha,
-    average_self_copula,
     blomqvist_rho,
     delta_diagonal,
     fit_lag_coefficients,
     fit_multifractal,
     gen_ar1_logvol,
     get_basis,
+    lag_surfaces,
 )
 
 grid = QuantileGrid(50)
@@ -35,8 +35,9 @@ panel = gen_ar1_logvol(params, 2500, [np.random.SeedSequence(entropy=4, spawn_ke
 
 print("lag   alpha_fit  alpha_true  blomqvist_rho  Delta(0.92,0.92)")
 coeffs = []
+surfaces = lag_surfaces(panel, 32, grid)   # lags 1..32 in one sweep
 for t in (1, 2, 4, 8, 16, 32):
-    surf = average_self_copula(panel, t, grid)
+    surf = surfaces[t - 1]
     fit, _ = fit_lag_coefficients(surf, basis=basis)
     coeffs.append(fit)
     u_tail = grid.points[-5]

@@ -12,11 +12,11 @@ kernel, simulates the limit laws, and runs the tests.
 from .copulas import (
     CopulaSurface,
     PsiSurface,
-    average_self_copula,
     blomqvist_rho,
     delta_diagonal,
     empirical_copula,
     frechet_bounds,
+    lag_surfaces,
     psi_accumulate,
     rank_panel,
 )

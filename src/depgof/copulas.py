@@ -14,13 +14,15 @@ The lag-summed relative excess
 multiplies the Brownian-bridge covariance to give the limiting covariance
 kernel of the empirical-CDF bridge for dependent data.
 
-A panel is estimated in one pass per lag, not series by series: its
-lag-t self-copula is the bias-corrected copula of the pair counts pooled
-over the series.  rank_panel gives each series one stable argsort, whose
-(value, position) order is that of ordinal ranks.  At lag t the ranks of
-X[:-t] and X[t:] are running counts of the positions each keeps along that
-order (O(N) per series), a table built once per lag maps rank to grid bin,
-and np.bincount adds the (bin, bin) pairs of every series into one integer
+A panel is estimated in one sweep over the lags, not series by series:
+its lag-t self-copula is the bias-corrected copula of the pair counts
+pooled over the series.  rank_panel gives each series one stable argsort,
+whose (value, position) order is that of ordinal ranks.  lag_surfaces keeps
+the int32 ordinal ranks of every position in X[:-t] and in X[t:], which start
+as the full series' ranks; from lag t - 1 to lag t each sample loses one
+position, so each rank above the lost one's falls by one, in place (O(N)
+per series).  A table built once per lag maps rank to grid bin, and
+np.bincount adds the (bin, bin) pairs of every series into one integer
 count table.  Integer sums are exact, so the order of the series cannot
 change it.  The bias correction and the Frechet clip then act once per lag.
 Before the clip the surface is the mean of the per-series
@@ -117,8 +119,8 @@ def empirical_copula(x, y, grid, lag=0, clip_frechet=True):
         raise DataError(
             f"grid finer than data: need n >= m+1 = {grid.m + 1}, got n={n}")
     thresholds = copula_thresholds(n, grid)
-    rank_x = _sort_once(x, "sample x")[1] + 1
-    rank_y = _sort_once(y, "sample y")[1] + 1
+    rank_x = _slots(x, "sample x") + 1
+    rank_y = _slots(y, "sample y") + 1
     # bin index of the first grid threshold >= rank; m = beyond the grid
     bx = np.searchsorted(thresholds, rank_x, side="left")
     by = np.searchsorted(thresholds, rank_y, side="left")
@@ -173,17 +175,16 @@ def self_copula_at_lag(series, t, grid):
 class RankedPanel:
     """Equal-length series sorted once for the self-copulas of every lag.
 
-    ``order[j]`` lists the positions of series j by ascending (value,
-    position), the order of ordinal ranks; ``slot[j]`` is its inverse, the
-    place of each position in that order.  Both are int32 of shape (k, N).
+    ``slot[j]`` holds the place of each position of series j in its
+    ascending (value, position) order, the order of ordinal ranks; int32 of
+    shape (k, N).
     """
 
-    order: np.ndarray
     slot: np.ndarray
 
 
 def rank_panel(panel):
-    """Sort each series of a panel once (stable) for average_self_copula.
+    """Sort each series of a panel once (stable) for lag_surfaces.
 
     ``panel`` is a sequence of k equal-length series, or a (k, N) array.
     """
@@ -195,12 +196,11 @@ def rank_panel(panel):
         x = x.reshape(0, 0)
     if x.ndim != 2:
         raise DataError(f"a panel is a sequence of series, got an array of shape {x.shape}")
-    order, slot = _sort_once(x, "panel")
-    return RankedPanel(order=order, slot=slot)
+    return RankedPanel(slot=_slots(x, "panel"))
 
 
-def _sort_once(x, what):
-    """Stable argsort along the last axis and its inverse, both int32.
+def _slots(x, what):
+    """Place of each entry in the stable ascending order along the last axis, int32.
 
     The order is that of ordinal ranks (ties by position), so slot + 1 is
     the ordinal rank.  NaN has no rank and is refused, naming ``what``.
@@ -210,49 +210,67 @@ def _sort_once(x, what):
     order = np.argsort(x, axis=-1, kind="stable").astype(np.int32)
     slot = np.empty_like(order)
     np.put_along_axis(slot, order, np.arange(x.shape[-1], dtype=np.int32), axis=-1)
-    return order, slot
+    return slot
 
 
-# Series per counting pass.  It bounds the (block, N) rank and cell arrays;
-# the counts are integers, so the result does not depend on it.
+# Series per rank update and counting pass.  It bounds the (block, N) cell
+# arrays; the counts are integers, so the result does not depend on it.
 _BLOCK = 8
 
 
-def average_self_copula(panel, t, grid):
-    """Lag-t self-copula of a panel: the bias-corrected, Frechet-clipped copula
-    of the lag-t pairs of all its series, counted together.
+def lag_surfaces(panel, t_max, grid):
+    """Self-copulas of a panel at lags 1..t_max, in lag order: at each lag the
+    bias-corrected, Frechet-clipped copula of the lag-t pairs of all its
+    series, counted together.
 
     ``panel`` is a RankedPanel, or anything rank_panel takes.  Before the
-    clip the surface is the entrywise mean of the series' unclipped
-    self-copulas, up to rounding; the one clip acts on that mean.  One series gives
-    self_copula_at_lag bit for bit, and the bits do not depend on the order
-    of the series.
+    clip a surface is the entrywise mean of the series' unclipped
+    self-copulas, up to rounding; the one clip acts on that mean.  The bits
+    do not depend on the order of the series.
     """
     ranked = panel if isinstance(panel, RankedPanel) else rank_panel(panel)
-    k, size = ranked.order.shape
+    slot = ranked.slot
+    k, size = slot.shape
     if k == 0:
         raise DataError("empty panel")
-    if t < 1:
-        raise ParameterError(f"lag must be >= 1, got t={t}")
-    if size <= t + grid.m:
+    if t_max < 1:
+        raise ParameterError(f"lag must be >= 1, got t={t_max}")
+    if size <= t_max + grid.m:
         raise DataError(
-            f"series of length {size} too short for lag {t} on an m={grid.m} grid")
-    n = size - t
-    # grid bin of each rank 0..n: the first threshold >= rank, m = beyond the grid
-    bins = np.searchsorted(copula_thresholds(n, grid), np.arange(n + 1), side="left")
+            f"series of length {size} too short for lag {t_max} on an m={grid.m} grid")
     side = grid.m + 1
-    counts = np.zeros(side * side, dtype=np.int64)
-    for lo in range(0, k, _BLOCK):
-        order = ranked.order[lo:lo + _BLOCK]
-        slot = ranked.slot[lo:lo + _BLOCK]
-        rows = size * np.arange(order.shape[0])[:, None]   # flat start of each series
-        # ordinal rank of x[i] in x[:-t] (of x[i+t] in x[t:]) = number of the
-        # positions that sample keeps, up to x[i]'s place in the sorted order
-        cells = bins[np.cumsum(order < n, axis=1).ravel()[slot[:, :n] + rows]] * side
-        cells += bins[np.cumsum(order >= t, axis=1).ravel()[slot[:, t:] + rows]]
-        counts += np.bincount(cells.ravel(), minlength=side * side)
-    return CopulaSurface(grid=grid, lag=t, values=_corrected_surfaces(
-        counts.reshape(side, side), n * k, _bias_factor(n, grid), frechet_bounds(grid)))
+    bounds = frechet_bounds(grid)
+    # ordinal ranks of each position in x[:-t] (left) and in x[t:] (right); at
+    # lag 0 both are the ranks of the whole series
+    left = slot + 1
+    right = left.copy()
+    surfaces = []
+    for t in range(1, t_max + 1):
+        n = size - t
+        # grid bin of each rank 0..n: the first threshold >= rank, m = beyond the grid
+        bins = np.searchsorted(copula_thresholds(n, grid), np.arange(n + 1), side="left")
+        rows = bins * side
+        counts = np.zeros(side * side, dtype=np.int64)
+        for lo in range(0, k, _BLOCK):
+            place = slot[lo:lo + _BLOCK]
+            # x[:-t] loses position n and x[t:] position t - 1: every position
+            # ordered after the lost one moves down one rank
+            head = left[lo:lo + _BLOCK, :n]
+            head -= place[:, :n] > place[:, n:n + 1]
+            tail = right[lo:lo + _BLOCK, t:]
+            tail -= place[:, t:] > place[:, t - 1:t]
+            cells = np.take(rows, head)   # np.take gathers faster than rows[head]
+            cells += np.take(bins, tail)
+            counts += np.bincount(cells.ravel(), minlength=side * side)
+        surfaces.append(CopulaSurface(grid=grid, lag=t, values=_corrected_surfaces(
+            counts.reshape(side, side), n * k, _bias_factor(n, grid), bounds)))
+    return surfaces
+
+
+def average_self_copula(panel, t, grid):
+    """Lag-t self-copula of a panel: the last surface of lag_surfaces(panel, t,
+    grid).  One series gives self_copula_at_lag bit for bit."""
+    return lag_surfaces(panel, t, grid)[-1]
 
 
 def psi_accumulate(surfaces, n):

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import map_ordered
 from ._special import hermite_rule, ndtr, ndtri_start
 from .copulas import CopulaSurface
 from .errors import NumericalError, ParameterError
@@ -194,7 +193,7 @@ def vol_model_cdf(x, s):
     return basis.cdf(np.asarray(x, dtype=float) * math.exp(s * s))
 
 
-def vol_model_quantiles(grid, s, threads=1):
+def vol_model_quantiles(grid, s):
     """Quantiles of the normalized model at the grid levels: F_s^{-1}(u_i) times
     e^{-s^2}, the inverse of vol_model_cdf; for a scale ``s``, F_s^{-1}(u_i) is the
     shared basis's cached solve.  A sequence of scales gets one row each, in its
@@ -203,9 +202,9 @@ def vol_model_quantiles(grid, s, threads=1):
     starts from the Lagrange polynomial in s through the anchors' F^{-1}(u_i), in
     sorted blocks of _SCALE_BLOCK, one vectorized Newton each.  From five anchors
     a solve takes one Newton step when the scales lie within 0.4 % of each other,
-    as a panel's leave-one-out scales do.  The solves run on ``threads`` workers;
-    a row depends on the set of scales, not on ``threads``, on the blocks or on
-    what the process solved before."""
+    as a panel's leave-one-out scales do.  The anchors are solved first, then
+    the blocks, in order on the calling thread; a row depends on the set of
+    scales, not on the blocks or on what the process solved before."""
     if not np.ndim(s):
         s = float(s)
         return get_basis(s).quantiles(grid) * math.exp(-s * s)
@@ -216,20 +215,17 @@ def vol_model_quantiles(grid, s, threads=1):
     rest = [v for v in distinct if v not in anchors]
     blocks = [rest[i:i + _SCALE_BLOCK] for i in range(0, len(rest), _SCALE_BLOCK)]
 
-    def warm(block):
+    solved = {v: vol_model_quantiles(grid, v) for v in anchors}
+    for block in blocks:
         # anchors a subnormal distance apart overflow a weight: that row starts cold
         with np.errstate(over="ignore", invalid="ignore"):
             start = np.array([sum(get_basis(a).quantiles(grid)
                                   * math.prod((v - b) / (a - b) for b in anchors if b != a)
                                   for a in anchors) for v in block])
         shrink = np.array([[math.exp(-v * v)] for v in block])
-        return _solve_quantiles(np.array(block), grid.points,
-                                *_hermite(DEFAULT_QUADRATURE_NODES), start) * shrink
-
-    solved = dict(zip(anchors, map_ordered(
-        threads, lambda v: vol_model_quantiles(grid, v), anchors)))
-    for block, rows in zip(blocks, map_ordered(threads, warm, blocks)):
-        solved.update(zip(block, rows))
+        solved.update(zip(block, _solve_quantiles(np.array(block), grid.points,
+                                                  *_hermite(DEFAULT_QUADRATURE_NODES),
+                                                  start) * shrink))
     return np.array([solved[v] for v in scales])
 
 

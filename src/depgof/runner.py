@@ -24,16 +24,16 @@ Every file, the config included, is opened for reading by ``_reading``.
 of the grid levels, so the target CDF is never evaluated at the samples.
 
 The ``threads`` key (>= 1; by default the CPUs the process may run on)
-sets the worker count of the stages whose units are independent: the
-Monte-Carlo law chunks, the lags of ``estimate_psi`` and the solves of
-``test_panel``'s target quantiles (``lognormal.vol_model_quantiles`` picks
-the scales it solves cold), each mapped by ``_pool.map_ordered``.  Each
-unit's arithmetic does not depend on ``threads``, and its results are
-combined in a fixed order, so it changes no result.  Every public stage
-and chain runs inside ``_pool.one_blas_thread()``, so the BLAS calls it
-makes (the kernel's ``eigh``, the law draw's products) run on one OpenBLAS
-thread and give a one-thread host's bits on any host.  All
-stages are deterministic given the config and seed.
+sets the worker count of the Monte-Carlo law draw, whose chunks are mapped
+by ``_pool.map_ordered`` and release the GIL for long stretches.  Each
+chunk's arithmetic does not depend on ``threads``, and the samples are
+sorted once every chunk is drawn, so it changes no result.  The lags of
+``estimate_psi`` and the target-quantile solves of ``test_panel`` run in
+order on the calling thread.  Every public stage and chain runs inside
+``_pool.one_blas_thread()``, so the BLAS calls it makes (the kernel's
+``eigh``, the law draw's products) run on one OpenBLAS thread and give a
+one-thread host's bits on any host.  All stages are deterministic given the
+config and seed.
 """
 
 import json
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import copulas, kernels, limit_law, lognormal, sampling
 from ._csvtext import format_block
-from ._pool import map_ordered, one_blas_thread
+from ._pool import one_blas_thread
 from .errors import ConfigError, DataError, ParameterError
 from .grid import QuantileGrid
 
@@ -465,10 +465,7 @@ def estimate_psi(panel, config, outdir=None):
                 "no lag fits; lower grid_m or use longer series")
         raise DataError(f"{asked} is too large for series of length n={panel.n} on a "
                         f"grid_m={grid.m} grid: {fits}")
-    ranked = copulas.rank_panel(panel.values.T)
-    surfaces = map_ordered(config.threads,
-                           lambda t: copulas.average_self_copula(ranked, t, grid),
-                           range(1, t_max + 1))
+    surfaces = copulas.lag_surfaces(panel.values.T, t_max, grid)
     ladder = {1 << i for i in range(30)}
     for t, surf in enumerate(surfaces, start=1):
         if outdir and (t in ladder or t == t_max):
@@ -550,7 +547,7 @@ def _target_quantiles(config, panel):
         own = np.array([sampling.calibrate_volvol(col) for _, col in panel.columns()])
         total = own.sum()
         s2 = [max((total - v) / (k - 1), 0.0) for v in own]
-    return lognormal.vol_model_quantiles(grid, [math.sqrt(v) for v in s2], config.threads)
+    return lognormal.vol_model_quantiles(grid, [math.sqrt(v) for v in s2])
 
 
 @one_blas_thread()

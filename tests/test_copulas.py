@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,17 +14,18 @@ from depgof import (
     LagCoefficients,
     ParameterError,
     QuantileGrid,
-    average_self_copula,
     blomqvist_rho,
     delta_diagonal,
     empirical_copula,
     expansion_surface,
     frechet_bounds,
     gen_ar1_logvol,
+    lag_surfaces,
     psi_accumulate,
 )
 from depgof import copulas
-from depgof.copulas import copula_thresholds, product_copula, rank_panel, self_copula_at_lag
+from depgof.copulas import (average_self_copula, copula_thresholds, product_copula, rank_panel,
+                            self_copula_at_lag)
 
 from conftest import gaussian_copula
 
@@ -226,7 +229,7 @@ def test_panel_estimator_is_the_copula_of_pooled_pair_counts(k, m, t, spare, dec
     panel = _panel(k, pairs + t, seed, decimals)
     expected = _pooled_reference(panel, t, grid)
     ranked = rank_panel(panel)
-    assert ranked.order.dtype == ranked.slot.dtype == np.int32
+    assert ranked.slot.dtype == np.int32
     for given_as in (list(panel), panel, ranked):
         surf = average_self_copula(given_as, t, grid)
         assert surf.lag == t
@@ -242,6 +245,33 @@ def test_panel_estimator_ignores_series_order_and_blocks(monkeypatch):
     for block in (1, 5, copulas._BLOCK, 1000):
         monkeypatch.setattr(copulas, "_BLOCK", block)
         assert average_self_copula(panel, 7, grid).values.tobytes() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 7), m=st.integers(1, 20), t_max=st.integers(1, 14),
+       spare=st.one_of(st.just(0), st.integers(1, 4).map(lambda j: -j), st.integers(1, 60)),
+       decimals=st.sampled_from([None, 0, 1]), block=st.sampled_from([1, 5, 8, 1000]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(k=3, m=10, t_max=1, spare=0, decimals=0, block=8, seed=0)        # n - t = m + 1
+@example(k=5, m=5, t_max=14, spare=-2, decimals=1, block=1, seed=1)       # n - t = 12, 18, 24
+@example(k=7, m=1, t_max=14, spare=-4, decimals=0, block=5, seed=2)       # every even n - t
+def test_lag_sweep_is_the_copula_of_pooled_pair_counts_at_every_lag(k, m, t_max, spare, decimals,
+                                                                     block, seed):
+    """``spare`` is the excess of n - t_max over m + 1, or -j for n - t_max = j (m + 1);
+    the longer lags' n - t then pass the other multiples of m + 1 above it."""
+    grid = QuantileGrid(m)
+    pairs = (m + 1) * -spare if spare < 0 else m + 1 + spare
+    panel = _panel(k, pairs + t_max, seed, decimals)
+    expected = [_pooled_reference(panel, t, grid).tobytes() for t in range(1, t_max + 1)]
+    ranked = rank_panel(panel)
+    slot = ranked.slot.copy()
+    perm = np.random.default_rng(seed).permutation(k)
+    with mock.patch.object(copulas, "_BLOCK", block):
+        for given_as in (panel, ranked, ranked, panel[perm]):
+            surfaces = lag_surfaces(given_as, t_max, grid)
+            assert [s.lag for s in surfaces] == list(range(1, t_max + 1))
+            assert [s.values.tobytes() for s in surfaces] == expected
+    assert np.array_equal(ranked.slot, slot)   # the sweep updates its own ranks
 
 
 def test_panel_estimator_is_the_mean_of_unclipped_pair_estimates_where_the_clip_is_idle():

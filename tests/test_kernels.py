@@ -18,7 +18,6 @@ from depgof import (
     PerturbativeInputs,
     PsiSurface,
     QuantileGrid,
-    average_self_copula,
     brownian_bridge_kernel,
     build_kernel_ar1,
     build_kernel_fgn,
@@ -30,6 +29,7 @@ from depgof import (
     eigendecompose,
     expansion_surface,
     fgn_alpha,
+    lag_surfaces,
     perturbative_spectrum,
     psi_accumulate,
 )
@@ -160,7 +160,7 @@ def test_full_pipeline_reduces_to_bridge_for_iid_input():
     grid = QuantileGrid(20)
     rng = np.random.default_rng(77)
     panel = [rng.standard_normal(4000) for _ in range(30)]
-    surfaces = [average_self_copula(panel, t, grid) for t in range(1, 9)]
+    surfaces = lag_surfaces(panel, 8, grid)
     psi = psi_accumulate(surfaces, n=4000)
     kernel = build_kernel_from_psi(psi)
     i_vals = _bridge_values(grid)

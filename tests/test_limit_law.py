@@ -474,6 +474,28 @@ def test_reduction_ratio(grid):
     assert abs(r1 / r2 - 1) < 0.01
 
 
+_LEVELS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+       u=st.one_of(_LEVELS, st.lists(_LEVELS, min_size=1, max_size=25)),
+       decimals=st.sampled_from([None, 0, 2]), seed=st.integers(0, 2 ** 32 - 1))
+@example(sizes=(2, 4), u=0.5, decimals=None, seed=0)                  # weight exactly 1/2
+@example(sizes=(1, 1), u=[0.3, 0.9], decimals=None, seed=1)           # one sample
+@example(sizes=(3000, 2999), u=[2.0 ** -52, 0.5, 1.0 - 2.0 ** -53], decimals=0, seed=2)  # ties
+def test_reduction_ratio_is_np_quantile_ratio_bit_for_bit(sizes, u, decimals, seed):
+    rng = np.random.default_rng(seed)
+    dep, iid = (StatisticDistribution("cm", np.sort(1.0 + (x if decimals is None else
+                                                           np.round(x, decimals))), "d", 10)
+                for x in (rng.exponential(1.0, n) for n in sizes))
+    for levels in (u, rng.uniform(0.0, 1.0, 64)):   # and levels of every interpolation weight
+        expected = np.quantile(dep.samples, levels) / np.quantile(iid.samples, levels)
+        ratio = reduction_ratio(dep, iid, levels)
+        assert np.asarray(ratio).tobytes() == np.asarray(expected).tobytes()
+        assert type(ratio) is float if np.ndim(levels) == 0 else ratio.shape == np.shape(levels)
+
+
 def test_grid_refinement_stability():
     qs = {}
     for m in (256, 512):

@@ -14,7 +14,6 @@ from depgof import (
     ParameterError,
     QuantileGrid,
     StochasticVolParams,
-    average_self_copula,
     expansion_surface,
     fit_lag_coefficients,
     fit_multifractal,
@@ -25,6 +24,7 @@ from depgof import (
     vol_model_quantiles,
 )
 from depgof import lognormal
+from depgof.copulas import average_self_copula
 from depgof._special import hermite_rule, ndtr, ndtri_start
 
 

@@ -82,7 +82,7 @@ def test_concurrent_nested_maps_restore_the_count_once(blas):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_law_samples_do_not_depend_on_the_pin(monkeypatch, threads):
-    # 40000 trials are three chunks; each block's 8192 x 100 by 100 x 100 product is
+    # 40000 trials are three chunks; each block's 1024 x 100 by 100 x 100 product is
     # large enough for OpenBLAS to split across its threads when not pinned
     pinned = simulate_statistic_distribution(_SPECTRUM, 40_000, seed=3, n_threads=threads)
     found = _pool._openblas()

@@ -807,11 +807,16 @@ def test_every_file_is_read_through_one_reader():
 
 
 def test_one_thread_pool():
-    # every worker pool goes through the helper that pins OpenBLAS to one thread
+    # every worker pool goes through the helper that pins OpenBLAS to one thread,
+    # and only the law draw, whose chunks release the GIL, maps work onto it
     src = Path(__file__).resolve().parents[1] / "src" / "depgof"
-    pools = [(path.stem, fn) for path in sorted(src.glob("*.py")) for fn, call in _calls(path)
-             if getattr(call.func, "attr", getattr(call.func, "id", None)) == "ThreadPoolExecutor"]
-    assert pools == [("_pool", "map_ordered")]
+
+    def callers(name):
+        return [(path.stem, fn) for path in sorted(src.glob("*.py")) for fn, call in _calls(path)
+                if getattr(call.func, "attr", getattr(call.func, "id", None)) == name]
+
+    assert callers("ThreadPoolExecutor") == [("_pool", "map_ordered")]
+    assert callers("map_ordered") == [("limit_law", "_simulate")]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # n_trials below the quantile guidance
@@ -1093,10 +1098,10 @@ _spread = st.lists(st.floats(0.0, 3.5), min_size=4, max_size=8)
 @example(scales=[0.0, 0.5, 1.5, 2.7, 3.1068371422561745, 3.5], m=100)
 def test_anchored_scale_quantiles(scales, m):
     grid = QuantileGrid(m)
-    rows = vol_model_quantiles(grid, scales, threads=2)
+    rows = vol_model_quantiles(grid, scales)
     anchors = _anchors(scales)
     assert rows.shape == (len(scales), m)
-    assert rows.tobytes() == vol_model_quantiles(grid, scales[::-1], threads=1)[::-1].tobytes()
+    assert rows.tobytes() == vol_model_quantiles(grid, scales[::-1])[::-1].tobytes()
     for s, q in zip(scales, rows):
         assert np.all(np.diff(q) >= 0.0), s
         if s in anchors:
@@ -1231,11 +1236,30 @@ with open(os.path.join(out, "loaded.json"), "w") as fh:
 """
 
 
-def test_depgof_never_loads_scipy(tmp_path):
+def _depgof_env():
+    """The environment of a fresh interpreter that imports this checkout's depgof."""
     import depgof
     src = os.path.dirname(os.path.dirname(os.path.abspath(depgof.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_reproduce_never_loads_numpy_ma(tmp_path):
+    # np.quantile loads numpy.ma, at about 15 ms; reduction_ratio reads its rule directly
+    env = _depgof_env()
+    script = ("import sys\nfrom depgof.runner import PipelineConfig, reproduce\n"
+              "reproduce('fig2', PipelineConfig(n=300, replications=4, grid_m=15, "
+              "n_trials=2000, seed=1, outdir=sys.argv[1]))\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "reduction_ratios.csv").exists()
+    assert proc.stdout.split() == ["False"]
+
+
+def test_depgof_never_loads_scipy(tmp_path):
+    env = _depgof_env()
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
